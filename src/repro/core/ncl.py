@@ -237,10 +237,8 @@ def _build_selection(
     time_budget: float,
     mode: PathMode,
 ) -> NCLSelection:
-    cache = shared_weight_cache()
-    weights_to_central = {
-        c: cache.weights(graph, c, time_budget, mode) for c in central_nodes
-    }
+    vectors = shared_weight_cache().weight_rows(graph, central_nodes, time_budget, mode)
+    weights_to_central = dict(zip(central_nodes, vectors))
     nearest = np.full(graph.num_nodes, -1, dtype=int)
     best = np.zeros(graph.num_nodes)
     for c in central_nodes:  # iteration order = selection priority

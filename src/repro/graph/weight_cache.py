@@ -4,13 +4,16 @@ Every consumer of the contact graph — NCL selection (Eq. 3), the
 push/pull gradient routers, response strategies, and time-budget
 calibration — reduces to the same two sweeps: a single-source path-weight
 vector at a time budget T, or the hop-rate tuples of the shortest
-opportunistic paths from a source.  The simulator recomputes these
-constantly: each GRAPH_REFRESH rebuilds router tables, warm-up runs K
-central-node sweeps that the routers then recompute verbatim, and the
-push and query routers each kept private per-destination tables for the
-*same* graph and horizon.
+opportunistic paths from a source.
 
-This module gives all of them one shared, bounded cache.
+This module gives all of them one shared, bounded cache.  On dense
+graphs warm-up's all-pairs matrix installs its rows as single-source
+entries, so NCL selection's K central vectors are hits.  The push and query gradient
+routers hold the vectors of the current snapshot themselves: on their
+first decision after a GRAPH_REFRESH each refills its table with one
+:meth:`PathWeightCache.weight_rows` call.  The first router to ask
+computes the missing vectors in one batched sweep; the second reads
+them back.  Per-contact decisions then never touch the cache.
 
 Keying / invalidation contract
 ------------------------------
@@ -37,7 +40,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from time import perf_counter
-from typing import Dict, Hashable, Optional, Tuple
+from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -47,7 +50,7 @@ from repro.graph.paths import (
     PathMode,
     hop_rate_tuples_from,
     shortest_path_weight_matrix,
-    shortest_path_weights_from,
+    shortest_path_weight_rows,
 )
 from repro.graph.sparse import KnnWeightRows, knn_weight_rows
 from repro.obs.profile import active_profiler, maybe_span
@@ -147,21 +150,55 @@ class PathWeightCache:
         mode: PathMode = PathMode.EXPECTED_DELAY,
     ) -> np.ndarray:
         """Cached :func:`shortest_path_weights_from` (read-only vector)."""
+        return self.weight_rows(graph, [source], time_budget, mode)[0]
+
+    def weight_rows(
+        self,
+        graph: ContactGraph,
+        sources: Sequence[int],
+        time_budget: float,
+        mode: PathMode = PathMode.EXPECTED_DELAY,
+    ) -> List[np.ndarray]:
+        """Cached weight vectors from many sources (read-only, one per source).
+
+        Vectors already cached — single-source entries or rows installed
+        by :meth:`weight_matrix` — are served as they are; the missing
+        ones are computed together in one
+        :func:`shortest_path_weight_rows` sweep.  Counters are per
+        vector: one hit per vector served from the cache, one miss per
+        distinct vector computed.
+        """
         # Hit latency is measured inline (a hit is too cheap for a span);
         # a miss wraps the recompute in a span so the kernel nests under it.
         prof = active_profiler()
         if prof.enabled:
             t0 = perf_counter()
-        key = ("w", graph.fingerprint(), int(source), float(time_budget), mode)
-        cached = self._lookup(key)
-        if cached is None:
+        sources = [int(source) for source in sources]
+        fingerprint = graph.fingerprint()
+        budget = float(time_budget)
+        found: Dict[int, np.ndarray] = {}
+        missing: Dict[int, None] = {}  # insertion-ordered set
+        with self._lock:
+            for source in sources:
+                key = ("w", fingerprint, source, budget, mode)
+                value = self._entries.get(key)
+                if value is not None:
+                    self._entries.move_to_end(key)
+                    self.hits += 1
+                    found[source] = value  # type: ignore[assignment]
+                else:
+                    missing[source] = None
+            self.misses += len(missing)
+        if missing:
             with maybe_span(prof, "weight_cache.weights.miss"):
-                cached = shortest_path_weights_from(graph, source, time_budget, mode)
-            cached.flags.writeable = False
-            self._store(key, cached)
+                rows = shortest_path_weight_rows(graph, list(missing), budget, mode)
+            for source, row in zip(missing, rows):
+                row.flags.writeable = False
+                self._store(("w", fingerprint, source, budget, mode), row)
+                found[source] = row
         elif prof.enabled:
             prof.add("weight_cache.weights.hit", perf_counter() - t0)
-        return cached  # type: ignore[return-value]
+        return [found[source] for source in sources]
 
     def weight_matrix(
         self,

@@ -7,14 +7,19 @@ which probabilistically shortens the remaining delay at every hop.
 
 Each node maintains its shortest-opportunistic-path weight to every
 destination it routes toward (the paper's nodes maintain exactly this for
-the central nodes).  Weight vectors come from the process-wide
-:mod:`repro.graph.weight_cache`, keyed on graph content — so the push and
-query routers of one scheme (and the NCL selection that preceded them)
-share a single computation per (graph, destination, horizon) instead of
-each maintaining private tables.
+the central nodes).  The router holds those vectors for the current
+contact-graph snapshot and refills them in one batched call to the
+process-wide :mod:`repro.graph.weight_cache` when the snapshot changes —
+so the push and query routers of one scheme (and the NCL selection that
+preceded them) share a single computation per (graph, destination,
+horizon), and a forwarding decision is one array read.
 """
 
 from __future__ import annotations
+
+from typing import Dict, Optional, Set
+
+import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.graph.contact_graph import ContactGraph
@@ -55,6 +60,13 @@ class GradientRouter(ObservableRouter):
         self._horizon = float(horizon)
         self._mode = mode
         self._replicate = replicate
+        # Weight vectors of the snapshot ``(self._graph, self._version)``,
+        # keyed by destination, and the destinations routed toward since
+        # that snapshot was installed.
+        self._graph: Optional[ContactGraph] = None
+        self._version = -1
+        self._vectors: Dict[int, np.ndarray] = {}
+        self._routed: Set[int] = set()
 
     @property
     def horizon(self) -> float:
@@ -63,17 +75,40 @@ class GradientRouter(ObservableRouter):
     def update_graph(self, graph: ContactGraph) -> None:
         """Install a fresh rate snapshot.
 
-        Kept for API symmetry with the other routers: the shared weight
-        cache keys on graph content, so a new snapshot needs no explicit
-        invalidation here.
+        Nothing is computed here.  The weight table is keyed on
+        ``(graph, graph.version)`` and refills on the first decision
+        against any other graph or version — including an in-place
+        ``set_rate`` on the installed instance — so a snapshot that no
+        bundle routes over costs nothing.
         """
 
     def weight_to(self, node: int, destination: int, graph: ContactGraph) -> float:
         """The maintained path weight from *node* to *destination*."""
-        weights = shared_weight_cache().weights(
-            graph, destination, self._horizon, self._mode
-        )
-        return float(weights[node])
+        return float(self._weights_to(destination, graph)[node])
+
+    def _weights_to(self, destination: int, graph: ContactGraph) -> np.ndarray:
+        """The path-weight vector toward *destination* on *graph*.
+
+        A new snapshot refills the table in one batched cache call that
+        covers the destinations routed toward during the previous
+        snapshot; a destination first seen in this snapshot is fetched
+        on its own.
+        """
+        if graph is not self._graph or graph.version != self._version:
+            carried = sorted(self._routed)
+            vectors = shared_weight_cache().weight_rows(
+                graph, carried, self._horizon, self._mode
+            )
+            self._graph, self._version = graph, graph.version
+            self._vectors = dict(zip(carried, vectors))
+            self._routed = set()
+        self._routed.add(destination)
+        vector = self._vectors.get(destination)
+        if vector is None:
+            vector = self._vectors[destination] = shared_weight_cache().weights(
+                graph, destination, self._horizon, self._mode
+            )
+        return vector
 
     def decide(
         self,
@@ -92,8 +127,9 @@ class GradientRouter(ObservableRouter):
                     action=ForwardAction.HANDOVER, carrier_score=0.0, peer_score=1.0
                 ),
             )
-        carrier_score = self.weight_to(carrier, destination, graph)
-        peer_score = self.weight_to(peer, destination, graph)
+        weights = self._weights_to(destination, graph)
+        carrier_score = float(weights[carrier])
+        peer_score = float(weights[peer])
         if peer_score > carrier_score:
             action = (
                 ForwardAction.REPLICATE if self._replicate else ForwardAction.HANDOVER

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.graph import weight_cache
 from repro.graph.contact_graph import ContactGraph
 from repro.graph.paths import PathMode, shortest_path_weights_from
 from repro.graph.weight_cache import (
@@ -82,6 +83,36 @@ class TestPathWeightCache:
         row = cache.weights(graph, 2, 10.0)
         assert cache.hits == 1  # served from the matrix row, not recomputed
         np.testing.assert_array_equal(row, matrix[2])
+
+    def test_weight_rows_after_weight_matrix_computes_nothing(self, graph, monkeypatch):
+        cache = PathWeightCache()
+        matrix = cache.weight_matrix(graph, 10.0)
+        hits, misses = cache.hits, cache.misses
+
+        def no_sweep(*args):
+            raise AssertionError("installed rows must be served, not recomputed")
+
+        monkeypatch.setattr(weight_cache, "shortest_path_weight_rows", no_sweep)
+        rows = cache.weight_rows(graph, [2, 0, 2], 10.0)
+        assert (cache.hits, cache.misses) == (hits + 3, misses)  # per vector
+        for row, source in zip(rows, [2, 0, 2]):
+            assert np.shares_memory(row, matrix)
+            np.testing.assert_array_equal(row, matrix[source])
+
+    def test_weight_rows_count_per_vector(self, graph):
+        cache = PathWeightCache()
+        cache.weights(graph, 1, 10.0)
+        rows = cache.weight_rows(graph, [0, 1, 3, 0], 10.0)
+        # 1 was cached; 0 and 3 are computed once each, 0 only once
+        assert (cache.hits, cache.misses) == (1, 3)
+        for row, source in zip(rows, [0, 1, 3, 0]):
+            assert not row.flags.writeable
+            np.testing.assert_array_equal(
+                row, shortest_path_weights_from(graph, source, 10.0)
+            )
+        again = cache.weight_rows(graph, [3, 0], 10.0)
+        assert (cache.hits, cache.misses) == (3, 3)
+        assert again[0] is rows[2] and again[1] is rows[0]
 
     def test_rate_tuples_budget_independent_in_expected_delay_mode(self, graph):
         cache = PathWeightCache()

@@ -12,10 +12,13 @@ import numpy as np
 from hypothesis import given, settings
 
 from repro.core.ncl import _reference_ncl_metrics, ncl_metrics
+from repro.graph import paths
 from repro.graph.contact_graph import ContactGraph
 from repro.graph.paths import (
     _reference_shortest_path_weights_from,
+    hop_rate_tuples_from,
     shortest_path_weight_matrix,
+    shortest_path_weight_rows,
     shortest_path_weights_from,
 )
 from repro.mathutils.hypoexponential import (
@@ -144,3 +147,94 @@ def test_weight_matrix_rows_are_single_source_sweeps(num_nodes, edge_probability
             atol=1e-7,
             rtol=0,
         )
+
+
+def _single_source_sweep(graph: ContactGraph, source: int, budget: float) -> np.ndarray:
+    """One source on its own: hop-rate tuples into one Eq. (2) batch,
+    padded to that source's longest path."""
+    tuples = hop_rate_tuples_from(graph, source, budget)
+    weights = np.zeros(graph.num_nodes)
+    nodes = list(tuples)
+    weights[nodes] = hypoexponential_cdf_batch([tuples[n] for n in nodes], budget)
+    return weights
+
+
+def _assert_rows_are_single_source_sweeps(graph, sources, budget):
+    rows = shortest_path_weight_rows(graph, sources, budget)
+    assert rows.shape == (len(sources), graph.num_nodes)
+    for row, source in zip(rows, sources):
+        alone = shortest_path_weights_from(graph, source, budget)
+        assert row.tobytes() == alone.tobytes()
+        assert row.tobytes() == _single_source_sweep(graph, source, budget).tobytes()
+
+
+@st.composite
+def weight_row_cases(draw):
+    """Random graphs in either storage mode, with optional path backbone
+    (so sources at its ends grow deeper trees than those in the middle,
+    and pad widths differ) and optionally quantised rates (so batches
+    repeat hop tuples and cross the Eq. 2 dedup threshold), plus a
+    source list that may repeat sources."""
+    num_nodes = draw(st.integers(min_value=2, max_value=40))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**16)))
+    edge_probability = draw(st.floats(min_value=0.0, max_value=0.5))
+    quantised = draw(st.booleans())
+    backbone = draw(st.booleans())
+    edges = []
+    for i in range(num_nodes):
+        for j in range(i + 1, num_nodes):
+            if (backbone and j == i + 1) or rng.random() < edge_probability:
+                rate = rng.integers(1, 4) / 8.0 if quantised else rng.uniform(1e-4, 1.0)
+                edges.append((i, j, rate))
+    graph = ContactGraph.from_edges(num_nodes, edges, sparse=draw(st.booleans()))
+    node = st.integers(min_value=0, max_value=num_nodes - 1)
+    sources = draw(st.lists(node, min_size=1, max_size=10))
+    return graph, sources, draw(st.floats(min_value=0.5, max_value=1e4))
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=weight_row_cases())
+def test_weight_rows_are_byte_identical_to_single_source_sweeps(case):
+    """The batched sweep must not move a single bit of any row: the
+    routers and NCL selection read these vectors, and the simulation
+    outputs are pinned bitwise."""
+    _assert_rows_are_single_source_sweeps(*case)
+
+
+def _chain(sparse: bool) -> ContactGraph:
+    """A 13-node chain with well-separated rates."""
+    rates = [0.05 * 1.5**i for i in range(12)]
+    return ContactGraph.from_edges(
+        13, [(i, i + 1, rate) for i, rate in enumerate(rates)], sparse=sparse
+    )
+
+
+#: chain sources whose trees are 12, 6, 12, 12, 9, 12 and 12 hops deep
+CHAIN_SOURCES = [0, 6, 12, 0, 3, 12, 0]
+
+
+def test_weight_rows_mix_pad_widths_and_cross_the_dedup_threshold():
+    """A 6-hop row summed at width 6 and at width 12 can differ in the
+    last ulp (numpy sums eight or more terms pairwise), so this fails if
+    rows of different widths share a batch.  The width-12 group is 65
+    rows, past the Eq. 2 dedup threshold that no single 13-row sweep
+    reaches."""
+    for sparse in (False, True):
+        _assert_rows_are_single_source_sweeps(_chain(sparse), CHAIN_SOURCES, 30.0)
+
+
+def test_weight_rows_do_not_depend_on_source_chunking(monkeypatch):
+    graph = _chain(sparse=True)
+    whole = shortest_path_weight_rows(graph, CHAIN_SOURCES, 30.0)
+    sweeps = []
+    dijkstra = paths._expected_delay_dijkstra
+
+    def recording(g, sources):
+        sweeps.append(list(sources))
+        return dijkstra(g, sources)
+
+    monkeypatch.setattr(paths, "_SWEEP_ROWS", 2 * graph.num_nodes)
+    monkeypatch.setattr(paths, "_expected_delay_dijkstra", recording)
+    chunked = shortest_path_weight_rows(graph, CHAIN_SOURCES, 30.0)
+    assert sweeps == [[0, 6], [12, 0], [3, 12], [0]]  # two sources per chunk
+    assert chunked.tobytes() == whole.tobytes()

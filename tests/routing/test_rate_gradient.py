@@ -68,3 +68,15 @@ class TestDecisions:
         graph = ContactGraph(3)
         router = RateGradientRouter()
         assert router.decide(0, 1, 2, graph, 1.0).action is ForwardAction.KEEP
+
+
+class TestGraphUpdates:
+    def test_in_place_rate_change_refreshes_hub_scores(self):
+        graph = ContactGraph(4)
+        graph.set_rate(0, 1, 1.0)
+        graph.set_rate(1, 2, 1.0)
+        router = RateGradientRouter()
+        assert router.score(3, 0, graph) == 0.0  # node 3 meets nobody
+        graph.set_rate(3, 2, 0.5)  # same instance, new version
+        fresh = RateGradientRouter().score(3, 0, graph)
+        assert router.score(3, 0, graph) == fresh > 0.0
