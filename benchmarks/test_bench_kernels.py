@@ -5,23 +5,13 @@ single-round), these measure the hot inner loops with normal
 pytest-benchmark statistics: the Eq. (2) path weight, the single-source
 opportunistic-path computation, the Eq. (3) metric over a full graph,
 and the Eq. (7) knapsack under realistic buffer sizes.
-
-The registered kernels run once per available backend (``[python]``
-always; ``[numba]`` when the optional extra is installed) via the
-``backend`` fixture, which warms the JIT before the timed rounds so
-compile cost never pollutes a measurement.  The bench guard pairs the
-two parameterizations into its compiled-vs-python speedup table, and
-``test_speedup_numba_vs_python`` asserts the ≥3x acceptance floor on
-the N=200 inputs while pinning bitwise agreement between backends.
 """
 
 import os
 import time
 
 import numpy as np
-import pytest
 
-from repro import kernels
 from repro.caching.nocache import NoCache
 from repro.core.data import Query
 from repro.core.knapsack import KnapsackItem, solve_knapsack
@@ -54,7 +44,7 @@ def _mit_graph():
 
 def _large_graph(num_nodes=200):
     """A 200-node contact graph: the scale at which per-event Python
-    overhead starts to dominate and the compiled backend must pay off."""
+    overhead starts to dominate."""
     return ContactGraph.from_trace(
         generate_synthetic_trace(
             SyntheticTraceConfig(
@@ -77,19 +67,6 @@ def _knapsack_items(count, seed=3):
     ]
 
 
-@pytest.fixture(params=kernels.available_backend_names())
-def backend(request):
-    """Run the decorated benchmark once per installed kernel backend.
-
-    JIT compilation happens in :func:`repro.kernels.warmup` before the
-    timed rounds, so the numba parameterization measures steady-state
-    kernel time, not compile time.
-    """
-    with kernels.use_backend(request.param):
-        kernels.warmup()
-        yield request.param
-
-
 def test_bench_kernel_path_weight(benchmark):
     rates = [1 / 3600.0, 1 / 7200.0, 1 / 1800.0, 1 / 5400.0]
     value = benchmark(hypoexponential_cdf, rates, 6 * 3600.0)
@@ -102,7 +79,7 @@ def test_bench_kernel_single_source_paths(benchmark):
     assert len(paths) >= 1
 
 
-def test_bench_kernel_ncl_metrics(benchmark, backend):
+def test_bench_kernel_ncl_metrics(benchmark):
     graph = _mit_graph()
 
     def cold_metrics():
@@ -115,7 +92,7 @@ def test_bench_kernel_ncl_metrics(benchmark, backend):
     assert len(metrics) == graph.num_nodes
 
 
-def test_bench_kernel_ncl_metrics_n200(benchmark, backend):
+def test_bench_kernel_ncl_metrics_n200(benchmark):
     graph = _large_graph()
 
     def cold_metrics():
@@ -126,7 +103,7 @@ def test_bench_kernel_ncl_metrics_n200(benchmark, backend):
     assert len(metrics) == graph.num_nodes
 
 
-def test_bench_kernel_path_weight_batch(benchmark, backend):
+def test_bench_kernel_path_weight_batch(benchmark):
     rng = np.random.default_rng(11)
     rows = [
         tuple(rng.uniform(1e-6, 1e-3, rng.integers(1, 7)))
@@ -138,7 +115,7 @@ def test_bench_kernel_path_weight_batch(benchmark, backend):
     assert np.all((values >= 0.0) & (values <= 1.0))
 
 
-def test_bench_kernel_weight_matrix(benchmark, backend):
+def test_bench_kernel_weight_matrix(benchmark):
     graph = _mit_graph()
     matrix = benchmark.pedantic(
         shortest_path_weight_matrix, args=(graph, 1 * WEEK), rounds=2, iterations=1
@@ -146,7 +123,7 @@ def test_bench_kernel_weight_matrix(benchmark, backend):
     assert matrix.shape == (graph.num_nodes, graph.num_nodes)
 
 
-def test_bench_kernel_weight_matrix_n200(benchmark, backend):
+def test_bench_kernel_weight_matrix_n200(benchmark):
     graph = _large_graph()
     matrix = benchmark.pedantic(
         shortest_path_weight_matrix, args=(graph, 1 * WEEK), rounds=2, iterations=1
@@ -154,7 +131,7 @@ def test_bench_kernel_weight_matrix_n200(benchmark, backend):
     assert matrix.shape == (graph.num_nodes, graph.num_nodes)
 
 
-def test_bench_kernel_knn_rows_n2048_sparse(benchmark, backend):
+def test_bench_kernel_knn_rows_n2048_sparse(benchmark):
     """The scale-out kernel: k-NN truncated rows on a forced-sparse
     graph just past the auto-sparse threshold."""
     from repro.core.ncl import DEFAULT_KNN_K
@@ -177,11 +154,11 @@ def test_bench_kernel_knn_rows_n2048_sparse(benchmark, backend):
     assert rows.indptr.shape == (graph.num_nodes + 1,)
 
 
-def test_bench_kernel_weight_matrix_profiled(benchmark, backend):
+def test_bench_kernel_weight_matrix_profiled(benchmark):
     """Same kernel with an *enabled* active profiler.
 
     The bench guard pairs this with ``test_bench_kernel_weight_matrix``
-    on the same backend and fails when the span instrumentation costs
+    and fails when the span instrumentation costs
     more than 5% — the profiler must stay cheap enough to leave on
     during investigations.
     """
@@ -314,13 +291,13 @@ def test_bench_sim_traced_diagnose(benchmark):
     assert result.queries_issued > 0
 
 
-def test_bench_kernel_knapsack(benchmark, backend):
+def test_bench_kernel_knapsack(benchmark):
     items = _knapsack_items(24)
     solution = benchmark(solve_knapsack, items, 400 * MEGABIT)
     assert solution.total_size <= 400 * MEGABIT
 
 
-def test_bench_kernel_knapsack_n200(benchmark, backend):
+def test_bench_kernel_knapsack_n200(benchmark):
     items = _knapsack_items(200)
     solution = benchmark(solve_knapsack, items, 2000 * MEGABIT)
     assert solution.total_size <= 2000 * MEGABIT
@@ -447,41 +424,6 @@ def test_speedup_ncl_metrics_vs_reference():
         f"ncl_metrics only {speedup:.1f}x faster than reference "
         f"({fast_time * 1e3:.1f} ms vs {slow_time * 1e3:.1f} ms)"
     )
-
-
-@pytest.mark.skipif(
-    "numba" not in kernels.available_backend_names(),
-    reason="numba not installed (optional extra)",
-)
-def test_speedup_numba_vs_python():
-    """Acceptance harness for the compiled backend: on N=200 inputs the
-    numba kernels must be ≥3x faster than the python backend on
-    ncl_metrics, the weight matrix and the knapsack DP — measured after
-    warm-up so JIT compilation is excluded — while returning bitwise
-    identical results."""
-    graph = _large_graph()
-    items = _knapsack_items(200)
-    cases = {
-        "ncl_metrics": lambda: ncl_metrics(graph, 1 * WEEK),
-        "weight_matrix": lambda: shortest_path_weight_matrix(graph, 1 * WEEK),
-        "knapsack_dp": lambda: solve_knapsack(items, 2000 * MEGABIT),
-    }
-    for name, fn in cases.items():
-        with kernels.use_backend("python"):
-            python_time, python_result = _best_of(fn)
-        with kernels.use_backend("numba"):
-            kernels.warmup()
-            fn()  # one untimed pass: exclude any residual compile cost
-            numba_time, numba_result = _best_of(fn)
-        if isinstance(python_result, np.ndarray):
-            assert np.array_equal(python_result, numba_result), name
-        else:  # knapsack solution
-            assert python_result == numba_result, name
-        speedup = python_time / numba_time
-        assert speedup >= 3.0, (
-            f"{name}: numba only {speedup:.1f}x faster than python "
-            f"({numba_time * 1e3:.1f} ms vs {python_time * 1e3:.1f} ms)"
-        )
 
 
 def test_speedup_parallel_runner():

@@ -618,16 +618,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="repro", description=__doc__)
-    parser.add_argument(
-        "--backend",
-        choices=("python", "numba"),
-        default=None,
-        help=(
-            "kernel backend for the hot numeric kernels (default: the "
-            "REPRO_KERNEL_BACKEND env var, else python; numba silently "
-            "degrades to python when not installed)"
-        ),
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_traces = sub.add_parser("traces", help="Table I summary of the preset traces")
@@ -901,10 +891,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.backend is not None:
-        from repro.kernels import set_backend
-
-        set_backend(args.backend)
     return args.func(args)
 
 

@@ -28,10 +28,9 @@ solver's determinism contract).  What remains unrepaired is bounded:
 combining one oversize item with sub-resolution leftovers can be missed,
 costing at most the value packable into one resolution unit.
 
-The DP table fill is the registered ``knapsack_dp`` kernel: the pure
-Python loop in :func:`_reference_knapsack_dp` is the oracle, and the
-numba backend runs the same strict-improvement recurrence compiled —
-identical additions and comparisons, hence bitwise-identical keep tables.
+The DP table fill is the pure Python strict-improvement recurrence in
+:func:`_reference_knapsack_dp`, which is also the oracle the property
+tests pin the solver to.
 """
 
 from __future__ import annotations
@@ -40,10 +39,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.errors import KnapsackError
-from repro.kernels.registry import kernel_override
 
 __all__ = ["KnapsackItem", "KnapsackSolution", "KnapsackPool", "solve_knapsack"]
 
@@ -109,23 +105,6 @@ def _reference_knapsack_dp(
     return keep
 
 
-def _knapsack_keep(values: List[float], sizes: List[int], cap_units: int):
-    """Dispatch point of the ``knapsack_dp`` kernel.
-
-    Returns either the python list-of-lists table or the compiled
-    backend's boolean array — the traceback only indexes ``keep[i][w]``,
-    which both support with identical contents.
-    """
-    override = kernel_override("knapsack_dp")
-    if override is not None:
-        return override(
-            np.asarray(values, dtype=float),
-            np.asarray(sizes, dtype=np.int64),
-            cap_units,
-        )
-    return _reference_knapsack_dp(values, sizes, cap_units)
-
-
 def _solve(
     items: Sequence[KnapsackItem],
     capacity: int,
@@ -179,7 +158,7 @@ def _solve(
             )
         return _EMPTY_SOLUTION
 
-    keep = _knapsack_keep(
+    keep = _reference_knapsack_dp(
         [item.value for item, _ in feasible],
         [size for _, size in feasible],
         cap_units,
@@ -230,10 +209,9 @@ class KnapsackPool:
     overlapping item sets and shrinking capacities, and the simulator
     may run several exchanges in one tick.  A pool memoises every item
     size's quantisation per resolution, so each pool member is rounded
-    once per resolution instead of once per solve; on the numba backend
-    the compiled DP additionally reuses one keep-table scratch across
-    solves.  Results are those of :func:`solve_knapsack` call-for-call
-    (same code path), so batching is bitwise-invisible.
+    once per resolution instead of once per solve.  Results are those
+    of :func:`solve_knapsack` call-for-call (same code path), so
+    batching is bitwise-invisible.
     """
 
     def __init__(self, max_capacity_units: int = 4096):

@@ -80,12 +80,6 @@ def ncl_metrics(
     content); :func:`_reference_ncl_metrics` is the retained pure-Python
     oracle.  Sparse graphs — or any graph when *knn_k* is given — route
     to :func:`sparse_ncl_metrics`, which never allocates N×N.
-
-    Registered as the *derived* kernel ``ncl_metrics``: its hot loop is
-    the ``weight_matrix`` kernel (compiled under the numba backend),
-    while the row reduction below deliberately stays in shared numpy
-    code on every backend — ``np.sum`` accumulates pairwise, which a
-    sequential compiled loop cannot reproduce bitwise.
     """
     if graph.num_nodes < 2:
         raise ConfigurationError("NCL metric needs at least two nodes")
@@ -107,10 +101,9 @@ def sparse_ncl_metrics(
 
     A lower bound on :func:`ncl_metrics` that converges monotonically as
     *k* grows (truncation only drops non-negative terms) and matches the
-    full metric to oracle tolerance once ``k >= N-1``.  Registered as
-    the *derived* kernel ``sparse_ncl_metrics``: its hot loop is the
-    ``knn_weight_rows`` kernel; the row-sum reduction stays in shared
-    sequential ``np.bincount`` code on every backend.
+    full metric to oracle tolerance once ``k >= N-1``.  Its hot loop is
+    :func:`~repro.graph.sparse.knn_weight_rows`; the row sums are a
+    sequential ``np.bincount``.
     """
     if graph.num_nodes < 2:
         raise ConfigurationError("NCL metric needs at least two nodes")

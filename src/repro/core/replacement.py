@@ -429,8 +429,8 @@ class UtilityKnapsackPolicy(ReplacementPolicy):
         self.probabilistic = probabilistic
         self.max_rounds = max_rounds
         # Shared across all exchanges this policy handles: one size
-        # quantisation (and, on compiled backends, one DP scratch) per
-        # tick-wide pool instead of a per-solve recompute.
+        # quantisation per tick-wide pool instead of a per-solve
+        # recompute.
         self._pool = KnapsackPool()
 
     # --- admit: utility-ordered eviction ------------------------------

@@ -35,14 +35,10 @@ canonical value per fingerprint.  Three ingredients deliver this:
   padded to the full build's width, and if the *global* maximum hop
   count changes at all the update is abandoned in favour of a scratch
   rebuild (rare: it takes a diameter-altering topology change).
-
-``REPRO_INCREMENTAL_NCL=0`` disables the whole mechanism (every refresh
-rebuilds from scratch); results are identical either way, only slower.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -54,9 +50,7 @@ from repro.graph.paths import (
     _pair_weights_from_tree,
 )
 
-__all__ = ["ENV_FLAG", "incremental_enabled", "TreeState", "build_state", "update_state"]
-
-ENV_FLAG = "REPRO_INCREMENTAL_NCL"
+__all__ = ["TreeState", "build_state", "update_state"]
 
 #: Give up on incremental maintenance beyond this many changed edges —
 #: the O(changed · N · degree) dirty analysis would rival the scratch
@@ -83,11 +77,6 @@ class TreeState:
     weights: np.ndarray
     hop_counts: np.ndarray  # per-pair hops, 0 on/below diagonal & unreachable
     pad_width: int
-
-
-def incremental_enabled() -> bool:
-    """The ``REPRO_INCREMENTAL_NCL`` kill switch (default: enabled)."""
-    return os.environ.get(ENV_FLAG, "1") != "0"
 
 
 def build_state(graph: ContactGraph, time_budget: float) -> Tuple[np.ndarray, TreeState]:

@@ -33,7 +33,6 @@ from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
 
 from repro.errors import PathError
 from repro.graph.contact_graph import ContactGraph
-from repro.kernels.registry import kernel_override
 from repro.mathutils.hypoexponential import (
     hypoexponential_cdf_batch,
     path_delivery_probability,
@@ -463,11 +462,9 @@ def _expected_delay_weight_matrix(
     rates = graph.rate_matrix()
     # Rates are symmetric and Eq. (2) is invariant under hop reordering,
     # so p_ij = p_ji: only the upper triangle of reachable pairs is
-    # evaluated.  The Dijkstra pass itself stays in scipy's C
-    # implementation on every backend — its tie-breaking between
-    # equal-cost trees picks the rate multisets that define the result —
-    # and only the hop-slot extraction below is the dispatchable
-    # ``weight_matrix`` kernel.
+    # evaluated.  The Dijkstra pass is scipy's C implementation — its
+    # tie-breaking between equal-cost trees picks the rate multisets
+    # that define the result.
     ii, jj = np.triu_indices(n, k=1)
     reachable = np.isfinite(dist[ii, jj])
     ii, jj = ii[reachable], jj[reachable]
@@ -511,8 +508,7 @@ def _pair_weights_from_tree(
 def _hop_slot_matrix(
     rates: np.ndarray, pred: np.ndarray, ii: np.ndarray, jj: np.ndarray
 ) -> np.ndarray:
-    """Padded per-pair hop-rate matrix from the predecessor matrix — the
-    registered ``weight_matrix`` kernel.
+    """Padded per-pair hop-rate matrix from the predecessor matrix.
 
     Hop rates are pulled out of the predecessor matrix one hop *slot* at
     a time (walking destination → source) across all pairs
@@ -522,13 +518,8 @@ def _hop_slot_matrix(
     the closed form's separation threshold its coefficients are large
     and cancelling, and summation order moves the result at the 1e-8
     level — so rows are kept in the same hop order the scalar oracle
-    evaluates.  A compiled backend walks each pair instead; both fill
-    the same slots with the same rate-matrix entries, so the outputs
-    are bitwise identical.
+    evaluates.
     """
-    override = kernel_override("weight_matrix")
-    if override is not None:
-        return override(rates, pred, ii, jj)
     columns: List[np.ndarray] = []
     cur = jj.copy()
     active = cur != ii
@@ -549,9 +540,8 @@ def _reference_weight_matrix(
     mode: PathMode = PathMode.EXPECTED_DELAY,
 ) -> np.ndarray:
     """Pure-Python oracle for :func:`shortest_path_weight_matrix`: one
-    reference single-source sweep per row.  The registered
-    ``weight_matrix`` kernel is pinned to this to 1e-9 on random graphs;
-    the python and numba backends are pinned to each other bitwise."""
+    reference single-source sweep per row.  The vectorized matrix is
+    pinned to this to 1e-9 on random graphs."""
     return np.vstack(
         [
             _reference_shortest_path_weights_from(graph, s, time_budget, mode)

@@ -17,11 +17,9 @@ smallest kept term's weight bound p(T; d_k) — the truncated metric is a
 lower bound that converges monotonically to the exact metric as k grows
 (larger k only ever adds non-negative terms; see DESIGN.md §5c).
 
-The per-source sweep is the registered ``knn_weight_rows`` kernel
-(python core here, ``@njit`` core in :mod:`repro.kernels.numba_backend`,
-pinned bitwise: both are binary heaps keyed on the distinct pairs
-``(dist, node)``, whose pop order any min-heap reproduces exactly).  The
-dense :func:`_reference_knn_weight_rows` oracle runs the full
+The per-source sweep is a binary-heap Dijkstra keyed on the distinct
+pairs ``(dist, node)``, whose pop order any min-heap reproduces exactly.
+The dense :func:`_reference_knn_weight_rows` oracle runs the full
 pure-python reference Dijkstra and truncates afterwards; property tests
 pin the sparse kernel to it.
 """
@@ -37,7 +35,6 @@ import numpy as np
 from repro.errors import PathError
 from repro.graph.contact_graph import ContactGraph
 from repro.graph.paths import PathMode
-from repro.kernels.registry import kernel_override
 from repro.mathutils.hypoexponential import (
     hypoexponential_cdf_batch,
     path_delivery_probability,
@@ -72,7 +69,7 @@ class KnnWeightRows:
         """Σⱼ p_ij(T) per source — the Eq. 3 numerator (diagonal excluded).
 
         ``np.bincount`` accumulates strictly sequentially, so the sum is
-        deterministic and backend-independent for identical weights.
+        deterministic for identical weights.
         """
         sources = np.repeat(
             np.arange(self.num_nodes), np.diff(self.indptr)
@@ -99,10 +96,9 @@ def knn_weight_rows(
 ) -> KnnWeightRows:
     """Eq. (2) weights from every node to its k nearest contacts.
 
-    Runs one early-stopped sparse Dijkstra per source (the registered
-    ``knn_weight_rows`` kernel) and scores all settled paths in chunked
-    :func:`hypoexponential_cdf_batch` calls.  Memory is O(N·k + E);
-    never O(N²).
+    Runs one early-stopped sparse Dijkstra per source and scores all
+    settled paths in chunked :func:`hypoexponential_cdf_batch` calls.
+    Memory is O(N·k + E); never O(N²).
     """
     if time_budget <= 0:
         raise PathError("time budget must be positive")
@@ -120,22 +116,18 @@ def _knn_weight_rows(
     n = graph.num_nodes
     k = min(int(k), max(n - 1, 1))
     indptr, indices, data = graph.csr_rates()
-    override = kernel_override("knn_weight_rows")
-    core = override if override is not None else _knn_rows_core
     counts_parts: List[np.ndarray] = []
     index_parts: List[np.ndarray] = []
     weight_parts: List[np.ndarray] = []
     for start in range(0, n, _CHUNK_SOURCES):
         sources = np.arange(start, min(start + _CHUNK_SOURCES, n), dtype=np.int64)
-        dest, hop_rows, counts = core(indptr, indices, data, sources, k)
+        dest, hop_rows, counts = _knn_rows_core(indptr, indices, data, sources, k)
         valid = dest >= 0
         dest = dest[valid]
         rows = hop_rows[valid]
         if len(dest):
-            # Trim trailing all-zero hop columns before the batched
-            # Eq. (2) call; both backends emit identical left-aligned
-            # rows, so the trimmed matrix — and hence the weights — are
-            # bitwise backend-independent.
+            # Trim trailing all-zero hop columns (rows are left-aligned)
+            # before the batched Eq. (2) call.
             hops = (rows > 0.0).sum(axis=1)
             width = max(int(hops.max()), 1)
             chunk_weights = hypoexponential_cdf_batch(rows[:, :width], time_budget)
@@ -171,7 +163,7 @@ def _knn_rows_core(
     sources: np.ndarray,
     k: int,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Python core of the ``knn_weight_rows`` kernel.
+    """Per-source early-stopped Dijkstra behind :func:`knn_weight_rows`.
 
     For each source: binary-heap Dijkstra keyed on ``(dist, node)``
     (all heap keys distinct — re-pushes strictly improve the distance —
@@ -184,8 +176,7 @@ def _knn_rows_core(
     Returns ``(dest, hop_rows, counts)``: per source, up to k settled
     destination ids (slot-padded with −1 into ``dest[t*k:(t+1)*k]``),
     their left-aligned source→destination hop-rate rows, and the number
-    settled.  The numba override emits identically-shaped,
-    bitwise-identical arrays.
+    settled.
     """
     m = len(sources)
     dest = np.full(m * k, -1, dtype=np.int64)

@@ -216,8 +216,7 @@ class PathWeightCache:
         incremental Dijkstra-tree state (:mod:`repro.graph.incremental`):
         when only a few rates changed since the previous miss, only the
         affected source rows are recomputed.  The result is bitwise
-        identical to a from-scratch build — ``REPRO_INCREMENTAL_NCL=0``
-        forces scratch builds if that ever needs ruling out.
+        identical to a from-scratch build.
         """
         prof = active_profiler()
         if prof.enabled:
@@ -243,11 +242,7 @@ class PathWeightCache:
         self, graph: ContactGraph, time_budget: float, mode: PathMode
     ) -> np.ndarray:
         """Miss-path compute: incremental when eligible, else scratch."""
-        if (
-            mode is not PathMode.EXPECTED_DELAY
-            or graph.is_sparse
-            or not _incremental.incremental_enabled()
-        ):
+        if mode is not PathMode.EXPECTED_DELAY or graph.is_sparse:
             return shortest_path_weight_matrix(graph, time_budget, mode)
         state_key = ("T", graph.num_nodes, float(time_budget))
         with self._lock:

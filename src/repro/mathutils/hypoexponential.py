@@ -36,8 +36,6 @@ from typing import Iterable, List, Sequence, Union
 import numpy as np
 from scipy.linalg import expm
 
-from repro.kernels.registry import kernel_override
-
 __all__ = [
     "Hypoexponential",
     "hypoexponential_cdf",
@@ -229,13 +227,7 @@ def _batch_rows_well_separated(rates: np.ndarray, valid: np.ndarray) -> np.ndarr
 
 def _closed_form_coeff_batch(rates: np.ndarray, mask: np.ndarray):
     """Eq. (2) coefficients C[i, k] = Π_{s≠k} λ_s / (λ_s − λ_k), plus the
-    per-row well-separated flag — the registered ``hypoexp_cdf_batch``
-    kernel.  Only pure arithmetic lives here (a compiled backend must
-    match it bitwise); the transcendentals and the final sum stay with
-    the caller in shared numpy code."""
-    override = kernel_override("hypoexp_cdf_batch")
-    if override is not None:
-        return override(rates, mask)
+    per-row well-separated flag."""
     diff = rates[:, None, :] - rates[:, :, None]  # diff[i, k, s] = λ_s − λ_k
     numer = np.broadcast_to(rates[:, None, :], diff.shape)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -318,9 +310,7 @@ def hypoexponential_cdf_batch(
     mask = valid[live]
     tt = times[live][:, None]
 
-    # Eq. (2) closed form, batched.  The coefficient stage is the
-    # dispatchable kernel (python or compiled backend, bitwise equal);
-    # the expm1 terms and the masked sum are shared numpy code.
+    # Eq. (2) closed form, batched.
     coeff, separated = _closed_form_coeff_batch(rates, mask)
     with np.errstate(invalid="ignore", over="ignore"):
         terms = coeff * -np.expm1(-rates * tt)
@@ -347,9 +337,8 @@ def _reference_cdf_batch(
     """Scalar-loop oracle for :func:`hypoexponential_cdf_batch`.
 
     One :func:`hypoexponential_cdf` call per row (zero-hop rows are 1,
-    non-positive times are 0).  The registered ``hypoexp_cdf_batch``
-    kernel is pinned to this to 1e-10 by property tests, and the python
-    and numba backends are pinned to each other bitwise.
+    non-positive times are 0).  :func:`hypoexponential_cdf_batch` is
+    pinned to this to 1e-10 by property tests.
     """
     padded = pad_rate_rows(rate_rows)
     times = np.broadcast_to(np.asarray(t, dtype=float), (len(padded),))

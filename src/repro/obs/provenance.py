@@ -11,12 +11,9 @@ or audit a run:
 * ``seeds`` — the root seeds of every repetition;
 * ``git`` — current revision and dirty flag (best-effort: absent when
   not in a git checkout);
-* ``kernel_backend`` — the requested/active kernel backend and whether
-  numba was importable (execution detail: backends are bitwise
-  equivalent, so this sits outside the hashed config);
 * ``slo_rules`` — the live-health SLO rules a serve run monitored
   (observation detail: rules never influence the simulation, so they
-  too sit outside the hashed config; absent when none were set);
+  sit outside the hashed config; absent when none were set);
 * ``packages`` — versions of the scientific stack actually imported;
 * ``platform`` — python version, implementation, OS.
 
@@ -44,7 +41,7 @@ __all__ = [
 ]
 
 #: packages whose versions materially affect numeric results
-_TRACKED_PACKAGES = ("numpy", "scipy", "networkx", "numba")
+_TRACKED_PACKAGES = ("numpy", "scipy", "networkx")
 
 
 def canonical_json(value: Any) -> str:
@@ -99,18 +96,12 @@ def build_manifest(
     slo_rules: Optional[Iterable[Any]] = None,
 ) -> Dict[str, Any]:
     """Assemble a run manifest (see module docstring for the fields)."""
-    from repro.kernels import backend_status
-
     config = dict(config)
     manifest = {
         "config": config,
         "config_hash": config_hash(config),
         "seeds": sorted(int(seed) for seed in seeds),
         "git": _git_info(),
-        # Execution detail, not experiment identity: backends are
-        # bitwise-equivalent, so the kernel backend is stamped outside
-        # the hashed config (like packages and platform).
-        "kernel_backend": backend_status(),
         "packages": _package_versions(),
         "platform": {
             "python": platform.python_version(),
@@ -121,8 +112,8 @@ def build_manifest(
     }
     if slo_rules:
         # Observation detail: SLO rules watch the run without touching
-        # it, so — like the backend — they are stamped outside the
-        # hashed config for auditability.
+        # it, so — like packages and platform — they are stamped outside
+        # the hashed config for auditability.
         manifest["slo_rules"] = [
             rule.to_dict() if hasattr(rule, "to_dict") else dict(rule)
             for rule in slo_rules

@@ -218,12 +218,5 @@ class TestMemoryFootprint:
         rows = check_memory_footprint({"fresh": {"peak_rss_mb": 9999.0}}, {})
         assert rows == [("fresh", 9999.0, None, False)]
 
-    def test_parametrised_name_falls_back_to_base_baseline(self):
-        rows = check_memory_footprint(
-            {"e2e[numba]": {"peak_rss_mb": 1500.0}},
-            {"e2e": {"peak_rss_mb": 1000.0}},
-        )
-        assert rows == [("e2e[numba]", 1500.0, 1000.0, True)]
-
     def test_memory_twin_cap_matches_other_instruments(self):
         assert MEMORY_OVERHEAD_THRESHOLD == 1.05

@@ -1,10 +1,10 @@
-"""The kernel-backend AST lint: clean tree, plus synthetic violations.
+"""The kernel-oracle AST lint: clean tree, plus synthetic violations.
 
-``scripts/check_kernel_backends.py`` enforces the backend contract —
-every registered kernel keeps a ``_reference_*`` oracle in its module,
-an equivalence test naming that oracle, and (unless derived via another
-kernel) a numba override.  Running it under pytest keeps the contract
-in tier-1 instead of relying on a manual script invocation.
+``scripts/check_kernel_oracles.py`` enforces the oracle contract —
+every listed kernel keeps a ``_reference_*`` oracle in its module and
+an equivalence test naming that oracle, and every oracle in the source
+tree is listed.  Running it under pytest keeps the contract in tier-1
+instead of relying on a manual script invocation.
 """
 
 import importlib.util
@@ -17,13 +17,13 @@ _SCRIPT = os.path.join(
     os.pardir,
     os.pardir,
     "scripts",
-    "check_kernel_backends.py",
+    "check_kernel_oracles.py",
 )
 
 
 @pytest.fixture(scope="module")
 def lint():
-    spec = importlib.util.spec_from_file_location("check_kernel_backends", _SCRIPT)
+    spec = importlib.util.spec_from_file_location("check_kernel_oracles", _SCRIPT)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -34,65 +34,35 @@ def test_source_tree_is_clean(lint):
     assert violations == [], "\n".join(str(v) for v in violations)
 
 
-def _specs(lint, kernels, overrides, defined, corpus):
-    return lint.check_specs(kernels, overrides, defined, corpus)
-
-
 def test_flags_misnamed_reference(lint):
     kernels = {"k": {"module": "m", "reference": "reference_k"}}
-    violations = _specs(lint, kernels, {"k": "f"}, {"m": {"reference_k"}}, "reference_k")
+    violations = lint.check_specs(kernels, {"m": {"reference_k"}}, "reference_k")
     assert any("_reference_*" in v.message for v in violations)
 
 
 def test_flags_oracle_missing_from_module(lint):
     kernels = {"k": {"module": "m", "reference": "_reference_k"}}
-    violations = _specs(lint, kernels, {"k": "f"}, {"m": set()}, "_reference_k")
+    violations = lint.check_specs(kernels, {"m": set()}, "_reference_k")
     assert any("not defined" in v.message for v in violations)
 
 
 def test_flags_oracle_unnamed_by_tests(lint):
     kernels = {"k": {"module": "m", "reference": "_reference_k"}}
-    violations = _specs(lint, kernels, {"k": "f"}, {"m": {"_reference_k"}}, "")
+    violations = lint.check_specs(kernels, {"m": {"_reference_k"}}, "")
     assert any("no test names the oracle" in v.message for v in violations)
 
 
-def test_flags_override_for_unknown_kernel(lint):
+def test_flags_oracle_missing_from_kernels(lint):
     kernels = {"k": {"module": "m", "reference": "_reference_k"}}
-    violations = _specs(
-        lint, kernels, {"k": "f", "ghost": "g"}, {"m": {"_reference_k"}}, "_reference_k"
-    )
-    assert any(v.kernel == "ghost" for v in violations)
-
-
-def test_flags_uncovered_kernel(lint):
-    kernels = {"k": {"module": "m", "reference": "_reference_k"}}
-    violations = _specs(lint, kernels, {}, {"m": {"_reference_k"}}, "_reference_k")
-    assert any("no numba override" in v.message for v in violations)
-
-
-def test_derived_kernels_need_no_override(lint):
-    kernels = {
-        "base": {"module": "m", "reference": "_reference_base"},
-        "derived": {"module": "m", "reference": "_reference_derived", "via": "base"},
-    }
-    defined = {"m": {"_reference_base", "_reference_derived"}}
-    corpus = "_reference_base _reference_derived"
-    violations = _specs(lint, kernels, {"base": "f"}, defined, corpus)
-    assert violations == []
-
-
-def test_flags_dangling_via_target(lint):
-    kernels = {
-        "derived": {"module": "m", "reference": "_reference_d", "via": "ghost"},
-    }
-    violations = _specs(lint, kernels, {}, {"m": {"_reference_d"}}, "_reference_d")
-    assert any("via target" in v.message for v in violations)
-
-
-def test_flags_unreadable_overrides(lint):
-    kernels = {"k": {"module": "m", "reference": "_reference_k"}}
-    violations = _specs(lint, kernels, None, {"m": {"_reference_k"}}, "_reference_k")
-    assert any("literal dict" in v.message for v in violations)
+    defined = {"m": {"_reference_k", "_reference_unlisted"}, "n": {"_reference_k"}}
+    corpus = "_reference_k _reference_unlisted"
+    violations = lint.check_specs(kernels, defined, corpus)
+    # Listed under another module does not count: the entry pins m's oracle.
+    assert [(v.where, v.message.split("'")[1]) for v in violations] == [
+        ("m", "_reference_unlisted"),
+        ("n", "_reference_k"),
+    ]
+    assert all("not listed in KERNELS" in v.message for v in violations)
 
 
 def test_flags_sparse_kernel_without_dense_oracle_doc(lint):
@@ -101,7 +71,7 @@ def test_flags_sparse_kernel_without_dense_oracle_doc(lint):
     }
     docs = {"_reference_k": "Sparse-vs-sparse check of the k kernel."}
     violations = lint.check_specs(
-        kernels, {"k": "f"}, {"m": {"_reference_k"}}, "_reference_k", docs
+        kernels, {"m": {"_reference_k"}}, "_reference_k", docs
     )
     assert any("dense reference" in v.message for v in violations)
 
@@ -112,7 +82,7 @@ def test_sparse_kernel_with_dense_oracle_doc_is_clean(lint):
     }
     docs = {"_reference_k": "Dense pure-python oracle for the k kernel."}
     violations = lint.check_specs(
-        kernels, {"k": "f"}, {"m": {"_reference_k"}}, "_reference_k", docs
+        kernels, {"m": {"_reference_k"}}, "_reference_k", docs
     )
     assert violations == []
 
@@ -123,7 +93,7 @@ def test_sparse_rule_skipped_without_docstrings(lint):
     kernels = {
         "k": {"module": "m", "reference": "_reference_k", "sparse": True},
     }
-    violations = _specs(lint, kernels, {"k": "f"}, {"m": {"_reference_k"}}, "_reference_k")
+    violations = lint.check_specs(kernels, {"m": {"_reference_k"}}, "_reference_k")
     assert violations == []
 
 

@@ -1,14 +1,8 @@
-"""Backend equivalence: python dispatch == oracles, numba == python bitwise.
+"""Kernel equivalence: each vectorized hot kernel == its oracle.
 
-The kernel registry's contract (``repro.kernels``) has two layers:
-
-* the *python* backend — dispatch with no overrides — must agree with
-  each kernel's retained ``_reference_*`` oracle (to tight numeric
-  tolerance where the vectorized path reorders float reductions, and
-  exactly where it does not);
-* the *numba* backend must agree with the python backend **bitwise** on
-  every registered kernel and end-to-end on whole simulations — these
-  tests skip cleanly when the optional extra is not installed.
+Each hot kernel must agree with its retained ``_reference_*`` oracle —
+to tight numeric tolerance where the vectorized path reorders float
+reductions, and exactly where it does not.
 """
 
 import numpy as np
@@ -16,14 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import kernels
-from repro.core.knapsack import (
-    KnapsackItem,
-    KnapsackPool,
-    _knapsack_keep,
-    _reference_knapsack_dp,
-    solve_knapsack,
-)
+from repro.core.knapsack import KnapsackItem, KnapsackPool, solve_knapsack
 from repro.core.ncl import _reference_ncl_metrics, ncl_metrics
 from repro.graph.contact_graph import ContactGraph
 from repro.graph.paths import _reference_weight_matrix, shortest_path_weight_matrix
@@ -34,13 +21,7 @@ from repro.mathutils.hypoexponential import (
     pad_rate_rows,
 )
 from repro.traces.synthetic import SyntheticTraceConfig, generate_synthetic_trace
-from repro.units import DAY, HOUR, MEGABIT, WEEK
-from repro.workload.config import WorkloadConfig
-
-requires_numba = pytest.mark.skipif(
-    "numba" not in kernels.available_backend_names(),
-    reason="numba not installed (optional extra)",
-)
+from repro.units import DAY, MEGABIT, WEEK
 
 
 def _graph(seed=2, num_nodes=16):
@@ -69,7 +50,7 @@ rate_rows = st.lists(
 )
 
 
-# --- python dispatch vs oracles ------------------------------------------
+# --- vectorized kernels vs oracles ---------------------------------------
 
 
 @settings(max_examples=60, deadline=None)
@@ -121,142 +102,3 @@ def test_knapsack_pool_matches_solve(instance):
     assert direct == pooled
     assert direct.total_size <= capacity
 
-
-def test_knapsack_dispatch_runs_reference_on_python():
-    with kernels.use_backend("python"):
-        keep = _knapsack_keep([0.5, 0.9], [2, 3], 5)
-    assert keep == _reference_knapsack_dp([0.5, 0.9], [2, 3], 5)
-
-
-# --- numba backend: bitwise agreement with python -------------------------
-
-
-def _both_backends(fn):
-    with kernels.use_backend("python"):
-        shared_weight_cache().clear()
-        python_result = fn()
-    with kernels.use_backend("numba"):
-        kernels.warmup()
-        shared_weight_cache().clear()
-        numba_result = fn()
-    return python_result, numba_result
-
-
-@requires_numba
-@settings(max_examples=40, deadline=None)
-@given(rows=rate_rows, t=st.floats(min_value=1.0, max_value=1e6))
-def test_numba_hypoexp_bitwise(rows, t):
-    padded = pad_rate_rows(rows)
-    python_result, numba_result = _both_backends(
-        lambda: hypoexponential_cdf_batch(padded, t)
-    )
-    assert np.array_equal(python_result, numba_result)
-
-
-@requires_numba
-@pytest.mark.parametrize("seed", [2, 5, 11])
-def test_numba_weight_matrix_bitwise(seed):
-    graph = _graph(seed)
-    python_result, numba_result = _both_backends(
-        lambda: shortest_path_weight_matrix(graph, 1 * WEEK)
-    )
-    assert np.array_equal(python_result, numba_result)
-
-
-@requires_numba
-@pytest.mark.parametrize("seed", [2, 5])
-def test_numba_ncl_metrics_bitwise(seed):
-    graph = _graph(seed)
-    python_result, numba_result = _both_backends(
-        lambda: ncl_metrics(graph, 1 * WEEK)
-    )
-    assert np.array_equal(python_result, numba_result)
-
-
-@requires_numba
-@settings(max_examples=60, deadline=None)
-@given(instance=knapsack_instances)
-def test_numba_knapsack_bitwise(instance):
-    raw, capacity = instance
-    items = [KnapsackItem(i, value, size) for i, (value, size) in enumerate(raw)]
-    python_result, numba_result = _both_backends(
-        lambda: solve_knapsack(items, capacity)
-    )
-    assert python_result == numba_result
-
-
-# --- end-to-end: identical SimulationResult across backends ---------------
-
-
-def _static_spec():
-    from repro.scenario import ScenarioSpec, SchemeSpec, TraceSpec
-
-    return ScenarioSpec(
-        trace=TraceSpec(name="mit_reality", seed=1, node_factor=0.35, time_factor=0.08),
-        scheme=SchemeSpec(name="intentional", num_ncls=3),
-    )
-
-
-def _churn_spec():
-    from repro.scenario import RunSpec, ScenarioSpec, SchemeSpec, TraceSpec
-    from repro.sim.dynamics import DynamicsConfig, DynamicsEvent
-
-    return ScenarioSpec(
-        trace=TraceSpec(name="mit_reality", seed=1, node_factor=0.35, time_factor=0.08),
-        scheme=SchemeSpec(name="intentional", num_ncls=3, reelect=True),
-        run=RunSpec(seed=7),
-        dynamics=DynamicsConfig(
-            events=(
-                DynamicsEvent(action="fail_central", at_fraction=0.3),
-                DynamicsEvent(action="leave", at_fraction=0.45, node=3),
-                DynamicsEvent(action="join", at_fraction=0.7, node=3),
-            )
-        ),
-    )
-
-
-def _run_spec(spec):
-    from repro.scenario import build_trace, scheme_factory, simulator_config
-    from repro.sim.simulator import Simulator
-
-    trace = build_trace(spec.trace)
-    workload = WorkloadConfig(
-        mean_data_lifetime=trace.duration * 0.1, mean_data_size=100_000_000
-    )
-    sim = Simulator(trace, scheme_factory(spec)(), workload, simulator_config(spec))
-    return sim.run()
-
-
-@requires_numba
-@pytest.mark.parametrize("spec_builder", [_static_spec, _churn_spec])
-def test_numba_simulation_bitwise(spec_builder):
-    spec = spec_builder()
-    python_result, numba_result = _both_backends(lambda: _run_spec(spec))
-    assert python_result == numba_result
-
-
-@requires_numba
-def test_numba_parallel_runner_bitwise():
-    """serial == workers=4 must keep holding under the numba backend."""
-    from repro.caching.nocache import NoCache
-    from repro.experiments.runner import run_repeated
-
-    trace = generate_synthetic_trace(
-        SyntheticTraceConfig(
-            name="backend-runner",
-            num_nodes=12,
-            duration=4 * DAY,
-            total_contacts=4000,
-            granularity=60.0,
-            seed=5,
-        )
-    )
-    workload = WorkloadConfig(mean_data_lifetime=8 * HOUR, mean_data_size=10 * MEGABIT)
-    seeds = tuple(range(1, 9))
-    with kernels.use_backend("numba"):
-        kernels.warmup()
-        serial = run_repeated(trace, NoCache, workload, seeds=seeds)
-        parallel = run_repeated(trace, NoCache, workload, seeds=seeds, workers=4)
-    assert serial.successful_ratio == parallel.successful_ratio
-    assert serial.queries_issued == parallel.queries_issued
-    assert serial.caching_overhead == parallel.caching_overhead

@@ -5,7 +5,7 @@ import itertools
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
-from repro.core.knapsack import KnapsackItem, solve_knapsack
+from repro.core.knapsack import KnapsackItem, _reference_knapsack_dp, solve_knapsack
 
 small_items = st.lists(
     st.tuples(
@@ -34,6 +34,25 @@ def test_exact_on_unquantised_instances(raw, capacity):
     assert solution.total_size <= capacity
     assert solution.total_value == sum(i.value for i in solution.selected)
     assert abs(solution.total_value - brute_force_value(items, capacity)) < 1e-9
+
+
+@settings(max_examples=100)
+@given(raw=small_items, capacity=st.integers(min_value=0, max_value=100))
+def test_reference_dp_keep_table_is_optimal(raw, capacity):
+    """The Eq. 7 DP oracle on its own, without the solver's quantisation
+    and singleton repair: its keep table, traced back from full
+    capacity, reaches the brute-force optimum without overfilling."""
+    values = [v for v, _ in raw]
+    sizes = [s for _, s in raw]
+    keep = _reference_knapsack_dp(values, sizes, capacity)
+    w, total = capacity, 0.0
+    for i in range(len(raw) - 1, -1, -1):
+        if keep[i][w]:
+            total += values[i]
+            w -= sizes[i]
+    assert w >= 0
+    items = [KnapsackItem(i, v, s) for i, (v, s) in enumerate(raw)]
+    assert abs(total - brute_force_value(items, capacity)) < 1e-9
 
 
 @settings(max_examples=60)

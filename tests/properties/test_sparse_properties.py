@@ -24,7 +24,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import kernels
 from repro.core.ncl import (
     _reference_sparse_ncl_metrics,
     ncl_metrics,
@@ -42,11 +41,6 @@ from repro.graph.weight_cache import shared_weight_cache
 from repro.traces.synthetic import SyntheticTraceConfig, generate_synthetic_trace
 from repro.units import DAY, HOUR, WEEK
 from repro.workload.config import WorkloadConfig
-
-requires_numba = pytest.mark.skipif(
-    "numba" not in kernels.available_backend_names(),
-    reason="numba not installed (optional extra)",
-)
 
 
 def _graph(seed=2, num_nodes=16, contacts_per_node=60, sparse=None):
@@ -209,14 +203,6 @@ def test_incremental_update_bitwise_equals_scratch(steps, seed):
         assert np.array_equal(updated, scratch)
 
 
-def test_incremental_kill_switch(monkeypatch):
-    """REPRO_INCREMENTAL_NCL=0 must bypass the incremental path."""
-    monkeypatch.setenv(incremental.ENV_FLAG, "0")
-    assert not incremental.incremental_enabled()
-    monkeypatch.setenv(incremental.ENV_FLAG, "1")
-    assert incremental.incremental_enabled()
-
-
 # --- end-to-end: storage mode invisible, serial == workers=4 ---------------
 
 
@@ -283,20 +269,3 @@ def test_sparse_serial_matches_workers():
     for a, b in zip(serial.results, parallel.results):
         _assert_same_fields(a, b)
 
-
-# --- numba backend: bitwise agreement on the sparse kernel -----------------
-
-
-@requires_numba
-@pytest.mark.parametrize("contacts_per_node", [6, 60])
-@pytest.mark.parametrize("k", [2, 8])
-def test_numba_knn_rows_bitwise(contacts_per_node, k):
-    graph = _graph(seed=11, contacts_per_node=contacts_per_node)
-    with kernels.use_backend("python"):
-        python_rows = knn_weight_rows(graph, 1 * WEEK, k)
-    with kernels.use_backend("numba"):
-        kernels.warmup()
-        numba_rows = knn_weight_rows(graph, 1 * WEEK, k)
-    assert np.array_equal(python_rows.indptr, numba_rows.indptr)
-    assert np.array_equal(python_rows.indices, numba_rows.indices)
-    assert np.array_equal(python_rows.weights, numba_rows.weights)
