@@ -308,7 +308,7 @@ COLLECTOR_FEED_QUERIES = 20_000
 
 
 def _feed_streaming_collector(queries):
-    collector = MetricsCollector(streaming=True)
+    collector = MetricsCollector()
     for query in queries:
         collector.on_query_created(query)
         collector.record_delivery(query, query.created_at + 1.0)
@@ -340,7 +340,6 @@ def test_bench_throughput_streaming_collector(benchmark):
 
 def _run_serve_batches(health=None):
     from repro.scenario import (
-        RunSpec,
         ScenarioSpec,
         SchemeSpec,
         TraceSpec,
@@ -352,7 +351,6 @@ def _run_serve_batches(health=None):
     spec = ScenarioSpec(
         trace=TraceSpec(name="mit_reality", node_factor=0.35, time_factor=0.08),
         scheme=SchemeSpec(),
-        run=RunSpec(streaming_metrics=True),
     )
     trace = build_trace(spec.trace)
     workload = WorkloadConfig(
@@ -393,7 +391,7 @@ def test_bench_throughput_serve_batches_health(benchmark):
     Per-batch ``observe_window`` snapshots, all four preset SLO rules,
     and the anomaly detectors run on every batch.  The bench guard
     pairs this with its unmonitored twin and fails when the monitor
-    costs more than ``HEALTH_OVERHEAD_THRESHOLD`` (5%).
+    costs more than its ``_health`` cap in ``TWIN_OVERHEAD_CAPS`` (5%).
     """
     result = benchmark.pedantic(_run_serve_batches_health, rounds=2, iterations=1)
     assert result.queries_issued > 0

@@ -16,7 +16,7 @@ Commands
     Regenerate one of the paper's tables/figures at a chosen scale.
 ``serve``
     Fit the network once, then replay query batches against the fitted
-    state (heavy-traffic mode: streaming metrics, per-batch throughput).
+    state and report per-batch throughput (heavy-traffic mode).
     ``--slo``/``--out``/``--prom-out`` add live health telemetry: SLO
     rules, anomaly detection, a JSONL health log, Prometheus text.
 ``watch``
@@ -208,7 +208,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     from repro.obs.memory import render_memory_breakdown, write_memory_log
     from repro.obs.profile import render_profile_table
     from repro.obs.provenance import build_manifest
-    from repro.obs.timeseries import merge_timeseries
+    from repro.obs.timeseries import merge_timeseries, write_csv
     from repro.scenario import run_scenario
 
     if args.list_schemes:
@@ -218,14 +218,15 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         spec = ScenarioSpec.load(args.scenario)
     else:
         spec = _scenario_from_args(args)
-    # --out implies telemetry collection; --profile implies spans.
+    # --out implies telemetry collection; --profile implies spans;
+    # --timeline-out is a CSV projection of the time series.
     collect = bool(args.out or args.profile)
     spec = dataclasses.replace(
         spec,
         run=dataclasses.replace(
             spec.run,
             profile=spec.run.profile or collect,
-            timeseries=spec.run.timeseries or bool(args.out),
+            timeseries=spec.run.timeseries or bool(args.out or args.timeline_out),
         ),
     )
     repeat = spec.run.repeat
@@ -267,7 +268,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             print()
             print(render_memory_breakdown(simulator.memory_breakdown()))
         if args.timeline_out:
-            simulator.timeline.to_csv(args.timeline_out)
+            write_csv(simulator.timeseries.rows(), args.timeline_out)
             print(f"timeline written to {args.timeline_out}")
         experiment = ExperimentResult(
             aggregate=aggregate_results([result]),
@@ -315,10 +316,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     monitor = bool(rules or args.out or args.prom_out)
 
     spec = _scenario_from_args(args)
-    # Serving heavy traffic is the streaming collector's home turf.
-    spec = dataclasses.replace(
-        spec, run=dataclasses.replace(spec.run, streaming_metrics=True)
-    )
     outcomes = serve_repeated(
         build_trace(spec.trace),
         scheme_factory(spec),
@@ -756,7 +753,7 @@ def build_parser() -> argparse.ArgumentParser:
                 "--timeline-out",
                 default=None,
                 metavar="PATH",
-                help="write the periodic metric timeline as CSV",
+                help="write the periodic time series's scalar columns as CSV",
             )
             p.add_argument(
                 "--repeat",

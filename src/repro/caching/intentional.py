@@ -334,7 +334,7 @@ class IntentionalCaching(CachingScheme):
         self, x: Node, y: Node, now: float, budget: TransferBudget
     ) -> None:
         """Advance x's push bundles through y along the central gradient."""
-        services = self._require_services()
+        self._require_services()
         if self.graph is None or self._push_router is None:
             return
         for bundle in x.bundles:
@@ -395,7 +395,6 @@ class IntentionalCaching(CachingScheme):
             bundle.owns_copy = not already_cached
             self._emit_push_forwarded(x, y, bundle, now)
             if y.node_id == bundle.target_central:
-                services.metrics.on_push_completed()
                 self._emit_push_completed(y, bundle, now, spilled=False)
                 # The copy at the central is now resident: other pushes
                 # relaying the same data through this node must not take
@@ -464,13 +463,11 @@ class IntentionalCaching(CachingScheme):
         member of its NCL with room becomes the caching location
         (Sec. V: "data is cached at another node A near C1").
         """
-        services = self._require_services()
         if self._ncl_of(y.node_id) != bundle.target_central:
             return
         if y.find_data(bundle.data.data_id, now) is not None:
             # The NCL already holds a copy elsewhere; this push is done.
             x.drop_bundle(bundle.key)
-            services.metrics.on_push_completed()
             self._emit_push_completed(y, bundle, now, spilled=True)
             return
         if not y.buffer.fits(bundle.data):
@@ -481,7 +478,6 @@ class IntentionalCaching(CachingScheme):
         if bundle.owns_copy:
             x.buffer.remove(bundle.data.data_id)
         x.drop_bundle(bundle.key)
-        services.metrics.on_push_completed()
         self._emit_push_forwarded(x, y, bundle, now)
         self._emit_push_completed(y, bundle, now, spilled=True)
         self._release_ownership(y, bundle.data.data_id)

@@ -13,24 +13,10 @@ it with ``--update-baseline`` when the hardware or an intentional
 performance trade-off changes.  New benchmarks without a baseline entry
 are reported but never fail the guard.
 
-Benchmarks named ``<kernel>_profiled`` are additionally paired with
-their unprofiled ``<kernel>`` twin *within the same run*: the guard
-fails when enabling the profiler costs more than
-``PROFILER_OVERHEAD_THRESHOLD`` (5%), keeping span instrumentation
-cheap enough to leave on during investigations.  The same twin pairing
-applies to ``<name>_reelect`` benchmarks: enabling NCL re-election on a
-*static* network must stay within ``REELECT_OVERHEAD_THRESHOLD`` (5%)
-of the plain run — re-election is gated on topology changes, so a run
-without churn pays essentially nothing for it.  ``<name>_diagnose``
-twins bound the post-processing cost of ``repro diagnose`` on a traced
-run: the full causal reconstruction + consistency cross-check +
-fidelity assessment may add at most ``DIAGNOSE_OVERHEAD_THRESHOLD``
-(50%) on top of the traced simulation itself.  ``<name>_health`` twins
-bound the live health monitor: a serve run with per-batch
-``HealthMonitor.observe_window`` snapshots + SLO evaluation + anomaly
-detectors may cost at most ``HEALTH_OVERHEAD_THRESHOLD`` (5%) over the
-unmonitored serve run — health telemetry is meant to be always-on in
-serve mode, so its price must stay in the noise.
+Benchmarks named ``<name><suffix>`` for a suffix in
+:data:`TWIN_OVERHEAD_CAPS` are additionally paired with their plain
+``<name>`` twin *within the same run*: the guard fails when the
+suffixed variant costs more than the suffix's cap times the twin.
 
 Benchmarks that publish ``benchmark.extra_info["queries"]`` (the
 heavy-traffic workload benchmarks) additionally form a **throughput
@@ -47,9 +33,7 @@ form a **memory tier**: peak RSS and the attribution are stamped into
 the baseline's ``memory`` map, and the guard fails when a run's
 footprint exceeds ``MEMORY_FOOTPRINT_THRESHOLD`` (1.2×) its baseline —
 time regressions and footprint regressions are caught by the same
-gate.  ``<name>_memory`` twins bound the *cost of measuring*: a run
-with ``mem_profile`` sampling on may cost at most
-``MEMORY_OVERHEAD_THRESHOLD`` (5%) over its unprofiled twin.
+gate.
 """
 
 from __future__ import annotations
@@ -69,12 +53,8 @@ __all__ = [
     "load_benchmark_queries",
     "load_benchmark_memory",
     "compare_against_baseline",
+    "TWIN_OVERHEAD_CAPS",
     "check_twin_overhead",
-    "check_profiler_overhead",
-    "check_reelection_overhead",
-    "check_diagnose_overhead",
-    "check_health_overhead",
-    "check_memory_overhead",
     "check_memory_footprint",
     "check_throughput",
     "run_guard",
@@ -86,32 +66,23 @@ DEFAULT_RESULT_JSON = Path("BENCH_kernels.json")
 DEFAULT_BASELINE = Path("benchmarks/kernels_baseline.json")
 DEFAULT_THRESHOLD = 1.5
 
-#: ``<kernel>_profiled`` may cost at most 5% over its unprofiled twin.
-PROFILED_SUFFIX = "_profiled"
-PROFILER_OVERHEAD_THRESHOLD = 1.05
-
-#: ``<name>_reelect`` (re-election enabled, static network) may cost at
-#: most 5% over its plain twin — re-election is topology-gated.
-REELECT_SUFFIX = "_reelect"
-REELECT_OVERHEAD_THRESHOLD = 1.05
-
-#: ``<name>_diagnose`` (traced run + full diagnosis) may cost at most
-#: 50% over the traced run alone — diagnosis is offline post-processing,
-#: but it must stay cheap enough to run after every traced simulation.
-DIAGNOSE_SUFFIX = "_diagnose"
-DIAGNOSE_OVERHEAD_THRESHOLD = 1.5
-
-#: ``<name>_health`` (serve run with the live health monitor attached)
-#: may cost at most 5% over its unmonitored twin — O(1) windowed deltas
-#: keep always-on telemetry in the noise.
-HEALTH_SUFFIX = "_health"
-HEALTH_OVERHEAD_THRESHOLD = 1.05
-
-#: ``<name>_memory`` (mem-profile sampling enabled) may cost at most 5%
-#: over its unprofiled twin — footprint observability must be cheap
-#: enough to leave on whenever a run is suspected of bloating.
-MEMORY_SUFFIX = "_memory"
-MEMORY_OVERHEAD_THRESHOLD = 1.05
+#: ``{suffix: cap}``: ``<name><suffix>`` may cost at most ``cap`` times
+#: its plain ``<name>`` twin measured in the same run.
+TWIN_OVERHEAD_CAPS: Dict[str, float] = {
+    # span instrumentation stays cheap enough to leave on
+    "_profiled": 1.05,
+    # re-election on a static network: topology-gated, so nearly free
+    "_reelect": 1.05,
+    # `repro diagnose` after a traced run: offline post-processing, but
+    # cheap enough to run after every traced simulation
+    "_diagnose": 1.5,
+    # the live health monitor on a serve run: O(1) windowed deltas keep
+    # always-on telemetry in the noise
+    "_health": 1.05,
+    # mem-profile sampling: cheap enough to leave on whenever a run is
+    # suspected of bloating
+    "_memory": 1.05,
+}
 
 #: a benchmark's peak RSS may grow to at most 1.2x its baseline —
 #: footprint regressions gate exactly like time regressions, just with
@@ -215,46 +186,6 @@ def check_twin_overhead(
         ratio = current[name] / twin
         rows.append((name, ratio, ratio > threshold))
     return rows
-
-
-def check_profiler_overhead(
-    current: Dict[str, float],
-    threshold: float = PROFILER_OVERHEAD_THRESHOLD,
-) -> List[Tuple[str, float, bool]]:
-    """``<kernel>_profiled`` vs its unprofiled twin (span overhead)."""
-    return check_twin_overhead(current, PROFILED_SUFFIX, threshold)
-
-
-def check_reelection_overhead(
-    current: Dict[str, float],
-    threshold: float = REELECT_OVERHEAD_THRESHOLD,
-) -> List[Tuple[str, float, bool]]:
-    """``<name>_reelect`` vs its static twin (topology-gated cost)."""
-    return check_twin_overhead(current, REELECT_SUFFIX, threshold)
-
-
-def check_diagnose_overhead(
-    current: Dict[str, float],
-    threshold: float = DIAGNOSE_OVERHEAD_THRESHOLD,
-) -> List[Tuple[str, float, bool]]:
-    """``<name>_diagnose`` vs its trace-only twin (diagnosis cost)."""
-    return check_twin_overhead(current, DIAGNOSE_SUFFIX, threshold)
-
-
-def check_health_overhead(
-    current: Dict[str, float],
-    threshold: float = HEALTH_OVERHEAD_THRESHOLD,
-) -> List[Tuple[str, float, bool]]:
-    """``<name>_health`` vs its unmonitored twin (live telemetry cost)."""
-    return check_twin_overhead(current, HEALTH_SUFFIX, threshold)
-
-
-def check_memory_overhead(
-    current: Dict[str, float],
-    threshold: float = MEMORY_OVERHEAD_THRESHOLD,
-) -> List[Tuple[str, float, bool]]:
-    """``<name>_memory`` vs its unprofiled twin (sampling cost)."""
-    return check_twin_overhead(current, MEMORY_SUFFIX, threshold)
 
 
 def check_memory_footprint(
@@ -399,19 +330,12 @@ def run_guard(
             failures += int(regressed)
         print(f"{verdict:4s} {name:45s} {mean * 1e3:8.3f} ms  {detail}")
     overhead_failures = 0
-    pairings = [
-        ("profiler", check_profiler_overhead(current), PROFILER_OVERHEAD_THRESHOLD),
-        ("re-election", check_reelection_overhead(current), REELECT_OVERHEAD_THRESHOLD),
-        ("diagnose", check_diagnose_overhead(current), DIAGNOSE_OVERHEAD_THRESHOLD),
-        ("health", check_health_overhead(current), HEALTH_OVERHEAD_THRESHOLD),
-        ("memory", check_memory_overhead(current), MEMORY_OVERHEAD_THRESHOLD),
-    ]
-    for label, rows, limit in pairings:
-        for name, ratio, failed in rows:
+    for suffix, cap in TWIN_OVERHEAD_CAPS.items():
+        for name, ratio, failed in check_twin_overhead(current, suffix, cap):
             verdict = "FAIL" if failed else "ok"
             print(
-                f"{verdict:4s} {name:45s} {label} overhead {ratio:5.2f}x "
-                f"(limit {limit:.2f}x)"
+                f"{verdict:4s} {name:45s} {suffix} overhead {ratio:5.2f}x "
+                f"(limit {cap:.2f}x)"
             )
             overhead_failures += int(failed)
     throughput_failures = 0

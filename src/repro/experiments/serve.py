@@ -15,11 +15,6 @@ travels in :class:`BatchResult` — never inside the frozen
 function of (trace, scheme, workload, seed) so the bitwise
 parallel==serial contract is untouched.
 
-By default a session runs the collector in bounded-memory streaming
-mode (that is the point of serving heavy traffic); pass an explicit
-:class:`~repro.sim.simulator.SimulatorConfig` to opt back into exact
-collection.
-
 Arrival-process caveats: the evaluation window announced to the arrival
 process is the trace's own second half, so a ``flash_crowd`` fires in
 the first replay cycle only, while ``diurnal``/``bursty`` modulation
@@ -109,8 +104,6 @@ class ServeSession:
         recorder: Optional[TraceRecorder] = None,
         health: Optional[HealthMonitor] = None,
     ):
-        if config is None:
-            config = SimulatorConfig(streaming_metrics=True)
         self.simulator = Simulator(trace, scheme, workload, config, recorder)
         self.simulator.start_session()
         self.health = health
@@ -251,7 +244,7 @@ def serve_repeated(
     Health snapshots and SLO verdicts derive only from simulated time
     and collector counters, so they are part of that bitwise payload.
     """
-    base = config or SimulatorConfig(streaming_metrics=True)
+    base = config or SimulatorConfig()
     rules = tuple(slo_rules)
     tasks: List[_ServeTask] = [
         (

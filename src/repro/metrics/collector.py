@@ -13,46 +13,36 @@ The paper's metrics (Sec. VI):
   items to be replaced before expiration": items that changed holder
   during pairwise exchanges, normalised by data items generated.
 
-Two storage modes share one event API:
+All four are running sums, so the collector keeps no full query
+records, only:
 
-* **exact** (default) — the historical path: every query and its
-  satisfaction time are retained, and :meth:`MetricsCollector.finalize`
-  recomputes the delays from the full record.  Per-query state is
-  O(queries issued).
-* **streaming** (``streaming=True``) — the heavy-traffic path: delays
-  fold into running sums (same addition order as the exact path, so
-  shared metrics agree bit for bit), a fixed-capacity reservoir keeps a
-  uniform delay sample, and per-query state is bounded: open queries
-  retire at expiry and satisfied ids are forgotten once no delivery can
-  still reference them.  A 10⁶-query run holds O(open + reservoir)
-  state instead of O(10⁶).
+* the open queries (issued, unsatisfied) with an expiry min-heap;
+  expired ones leave at the next ``pending_queries`` call (each
+  time-series sample and serve batch makes one), so a call costs
+  O(expired since the last one);
+* the satisfied queries still inside their constraint (the duplicate
+  check needs nothing older), which leave at the first delivery after
+  they expire;
+* the running delay sum, added in delivery order, and the caching-
+  overhead sample sum and count;
+* three P² sketches of the delay quantiles.
 
-Delivery classification (shared by both modes, in this order):
-``duplicate`` (query already satisfied) → ``late`` (past the
-constraint) → ``unknown`` (never issued) → ``first``.  The streaming
-mode's only documented divergence: once a satisfied id is forgotten
-(possible only *after* the query expired), a further delivery counts as
-``late`` rather than ``duplicate`` — the sum of the two counters always
-matches the exact path, and the individual counters match whenever
-response copies never outlive their query (which
-:func:`repro.sim.invariants.check_node` enforces in simulation runs).
-
-In both modes the former full-scan :meth:`pending_queries` is replaced
-by a compact open-query set retired through an expiry min-heap, so
-periodic time-series sampling is O(expired this period) instead of
-O(queries ever issued).
+Delivery classification, in this order: ``late`` (``now >
+expires_at``) → ``duplicate`` (query already satisfied) → ``first``.
+A delivery at ``now == expires_at`` is still in-constraint, so
+satisfied ids retire strictly after expiry.  A delivery for a query
+that was never issued raises :class:`~repro.errors.SimulationError`.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Dict, List, NamedTuple, Optional, Tuple
-
-import numpy as np
+from typing import Dict, List, NamedTuple, Tuple
 
 from repro.core.data import DataItem, Query
+from repro.errors import SimulationError
 from repro.metrics.results import SimulationResult
-from repro.metrics.streaming import P2Quantile, ReservoirSampler
+from repro.metrics.streaming import P2Quantile
 
 __all__ = ["CollectorTotals", "MetricsCollector"]
 
@@ -84,34 +74,14 @@ class CollectorTotals(NamedTuple):
 class MetricsCollector:
     """Accumulates events during one simulation run."""
 
-    def __init__(
-        self,
-        streaming: bool = False,
-        reservoir_size: int = 256,
-        rng: Optional[np.random.Generator] = None,
-    ) -> None:
-        self._streaming = bool(streaming)
-        # Exact-mode full records (None in streaming mode — their absence
-        # is the bounded-memory guarantee).
-        self._queries: Optional[Dict[int, Query]] = None if streaming else {}
-        self._satisfied_at: Optional[Dict[int, float]] = None if streaming else {}
-        # Streaming-mode satisfied-id set, pruned once past expiry.
-        self._satisfied: Optional[Dict[int, float]] = {} if streaming else None
-        self._satisfied_heap: List[Tuple[float, int]] = []
-        self._reservoir: Optional[ReservoirSampler] = (
-            ReservoirSampler(reservoir_size, rng or np.random.default_rng(0))
-            if streaming
-            else None
-        )
-        # Compact open-query set (both modes): qid → expires_at plus an
-        # expiry min-heap for O(log n) retirement.
+    def __init__(self) -> None:
+        # qid → expires_at, each with an expiry min-heap for O(log n)
+        # retirement.
         self._open: Dict[int, float] = {}
         self._open_heap: List[Tuple[float, int]] = []
+        self._satisfied: Dict[int, float] = {}
+        self._satisfied_heap: List[Tuple[float, int]] = []
         self._retire_floor = float("-inf")
-        # Running aggregates shared by both modes.  The sums accumulate
-        # in event order — the same order the exact path's
-        # ``sum(list)`` adds in — so both modes produce bitwise equal
-        # means.
         self._issued = 0
         self._satisfied_count = 0
         self._delay_sum = 0.0
@@ -121,7 +91,6 @@ class MetricsCollector:
         self._delay_p95 = P2Quantile(0.95)
         self._delay_p99 = P2Quantile(0.99)
         self._data_generated = 0
-        self._copy_samples: Optional[List[float]] = None if streaming else []
         self._replaced_items = 0
         self._exchanges = 0
         self._responses_emitted = 0
@@ -129,76 +98,45 @@ class MetricsCollector:
         self._duplicate_deliveries = 0
         self._late_deliveries = 0
         self._bits_transferred = 0
-        self._pushes_completed = 0
         self._cache_lookups = 0
         self._cache_hits = 0
-
-    @property
-    def streaming(self) -> bool:
-        """Whether this collector runs in bounded-memory mode."""
-        return self._streaming
 
     # --- queries --------------------------------------------------------
 
     def on_query_created(self, query: Query) -> None:
         qid = query.query_id
-        if self._streaming:
-            assert self._satisfied is not None
-            if qid in self._open or qid in self._satisfied:
-                return
-            self._issued += 1
-        else:
-            assert self._queries is not None
-            if qid not in self._queries:
-                self._issued += 1
-            self._queries[qid] = query
+        if qid in self._open or qid in self._satisfied:
+            return
+        self._issued += 1
         self._open[qid] = query.expires_at
         heapq.heappush(self._open_heap, (query.expires_at, qid))
 
     def record_delivery(self, query: Query, now: float) -> str:
         """Classify and record one delivery event.
 
-        Returns ``"first"`` / ``"duplicate"`` / ``"late"`` /
-        ``"unknown"`` (see the module docstring for the precedence).
-        Only ``"first"`` affects the successful ratio; the others feed
-        their dedicated counters so trace-derived accounting can audit
-        redundant and late copies.
+        Returns ``"first"`` / ``"duplicate"`` / ``"late"`` (see the
+        module docstring for the precedence).  Only ``"first"`` affects
+        the successful ratio; the others feed their dedicated counters
+        so trace-derived accounting can audit redundant and late copies.
         """
         qid = query.query_id
-        if self._streaming:
-            self._retire_satisfied(now)
-            satisfied = self._satisfied is not None and qid in self._satisfied
-            known = qid in self._open
-        else:
-            assert self._satisfied_at is not None and self._queries is not None
-            satisfied = qid in self._satisfied_at
-            known = qid in self._queries
-        if satisfied:
-            self._duplicate_deliveries += 1
-            return "duplicate"
+        self._retire_satisfied(now)
         if now > query.expires_at:
             self._late_deliveries += 1
             return "late"
-        if not known:
-            # Defensive: deliveries for unknown queries indicate a scheme
-            # bug; count nothing rather than corrupt ratios.
-            return "unknown"
-        if self._streaming:
-            assert self._satisfied is not None
-            self._satisfied[qid] = query.expires_at
-            heapq.heappush(self._satisfied_heap, (query.expires_at, qid))
-        else:
-            assert self._satisfied_at is not None
-            self._satisfied_at[qid] = now
-        self._open.pop(qid, None)
+        if qid in self._satisfied:
+            self._duplicate_deliveries += 1
+            return "duplicate"
+        if self._open.pop(qid, None) is None:
+            raise SimulationError(f"delivery for query {qid}, which was never issued")
+        self._satisfied[qid] = query.expires_at
+        heapq.heappush(self._satisfied_heap, (query.expires_at, qid))
         delay = now - query.created_at
         self._satisfied_count += 1
         self._delay_sum += delay
         self._delay_p50.observe(delay)
         self._delay_p95.observe(delay)
         self._delay_p99.observe(delay)
-        if self._reservoir is not None:
-            self._reservoir.observe(delay)
         return "first"
 
     def on_query_satisfied(self, query: Query, now: float) -> bool:
@@ -215,24 +153,14 @@ class MetricsCollector:
         return self.record_delivery(query, now) == "first"
 
     def _retire_satisfied(self, now: float) -> None:
-        """Forget satisfied ids whose query has expired (streaming only).
-
-        A delivery at ``now == expires_at`` is still in-constraint, so
-        ids retire strictly *after* expiry — a boundary duplicate
-        classifies identically in both modes.
-        """
-        assert self._satisfied is not None
+        """Forget satisfied ids whose query expired before *now*."""
         heap = self._satisfied_heap
         while heap and heap[0][0] < now:
             _, qid = heapq.heappop(heap)
             self._satisfied.pop(qid, None)
 
     def is_satisfied(self, query_id: int) -> bool:
-        if self._streaming:
-            assert self._satisfied is not None
-            return query_id in self._satisfied
-        assert self._satisfied_at is not None
-        return query_id in self._satisfied_at
+        return query_id in self._satisfied
 
     def pending_queries(self, now: float) -> int:
         """Issued queries still unsatisfied and unexpired at *now*.
@@ -240,20 +168,10 @@ class MetricsCollector:
         Amortised O(retired this call): satisfied queries left the open
         set at delivery, and expired ones retire here through the expiry
         heap.  Calls must be monotone in *now* (the simulator samples in
-        event order); the exact mode answers an out-of-order call with
-        the historical full scan instead.
+        event order); a decreasing time raises :class:`ValueError`.
         """
         if now < self._retire_floor:
-            if self._streaming:
-                raise ValueError(
-                    "streaming pending_queries requires non-decreasing times"
-                )
-            assert self._queries is not None and self._satisfied_at is not None
-            return sum(
-                1
-                for qid, query in self._queries.items()
-                if qid not in self._satisfied_at and now <= query.expires_at
-            )
+            raise ValueError("pending_queries requires non-decreasing times")
         self._retire_floor = now
         heap = self._open_heap
         while heap and heap[0][0] < now:
@@ -273,18 +191,12 @@ class MetricsCollector:
     def on_data_generated(self, item: DataItem) -> None:
         self._data_generated += 1
 
-    def on_push_completed(self) -> None:
-        self._pushes_completed += 1
-
     def sample_copies_per_item(self, cached_copies: int, live_items: int) -> None:
         """One caching-overhead sample: copies currently cached network-wide
         divided by currently live data items."""
         if live_items > 0:
-            sample = cached_copies / live_items
-            self._copy_sum += sample
+            self._copy_sum += cached_copies / live_items
             self._copy_count += 1
-            if self._copy_samples is not None:
-                self._copy_samples.append(sample)
 
     def on_exchange(self, moved_items: int, bits: int) -> None:
         self._exchanges += 1
@@ -297,9 +209,6 @@ class MetricsCollector:
     def on_response_delivered(self) -> None:
         self._responses_delivered += 1
 
-    def on_transfer(self, bits: int) -> None:
-        self._bits_transferred += bits
-
     def on_cache_lookup(self, hit: bool) -> None:
         """One attempt to serve a query locally; *hit* iff a cached
         (buffer) copy answered."""
@@ -311,18 +220,12 @@ class MetricsCollector:
 
     @property
     def queries_issued(self) -> int:
-        if self._streaming:
-            return self._issued
-        assert self._queries is not None
-        return len(self._queries)
+        return self._issued
 
     @property
     def queries_satisfied(self) -> int:
         """Distinct queries satisfied in time (never delivery events)."""
-        if self._streaming:
-            return self._satisfied_count
-        assert self._satisfied_at is not None
-        return len(self._satisfied_at)
+        return self._satisfied_count
 
     @property
     def duplicate_deliveries(self) -> int:
@@ -364,12 +267,12 @@ class MetricsCollector:
     def totals(self) -> CollectorTotals:
         """Snapshot the cumulative counters as a :class:`CollectorTotals`.
 
-        O(1) attribute reads in both storage modes — the per-window
-        delta view used by the live health monitor.
+        O(1) attribute reads — the per-window delta view used by the
+        live health monitor.
         """
         return CollectorTotals(
-            queries_issued=self.queries_issued,
-            queries_satisfied=self.queries_satisfied,
+            queries_issued=self._issued,
+            queries_satisfied=self._satisfied_count,
             duplicate_deliveries=self._duplicate_deliveries,
             late_deliveries=self._late_deliveries,
             cache_lookups=self._cache_lookups,
@@ -378,64 +281,29 @@ class MetricsCollector:
             responses_delivered=self._responses_delivered,
         )
 
-    @property
-    def delay_reservoir(self) -> Tuple[float, ...]:
-        """Uniform delay sample (streaming mode; empty otherwise)."""
-        if self._reservoir is None:
-            return ()
-        return self._reservoir.samples
-
     def nbytes(self) -> int:
-        """Deep heap footprint of the collector's per-query state in
-        bytes.
-
-        In exact mode this is dominated by the full query/satisfaction
-        records (O(queries issued)); in streaming mode by the bounded
-        open/satisfied sets, their retirement heaps and the reservoir —
-        making the two modes' footprint difference directly visible in
-        the memory breakdown.
-        """
+        """Deep heap footprint of the collector in bytes, dominated by
+        the open/satisfied maps and their retirement heaps."""
         from repro.obs.memory import deep_sizeof
 
         return deep_sizeof(self)
 
     def finalize(self, name: str, seed: int) -> SimulationResult:
         """Freeze the run into a :class:`SimulationResult`."""
-        if self._streaming:
-            issued = self._issued
-            satisfied = self._satisfied_count
-            mean_delay = (
-                self._delay_sum / satisfied if satisfied else float("nan")
-            )
-            caching_overhead = (
-                self._copy_sum / self._copy_count if self._copy_count else 0.0
-            )
-        else:
-            assert (
-                self._queries is not None
-                and self._satisfied_at is not None
-                and self._copy_samples is not None
-            )
-            delays = [
-                self._satisfied_at[qid] - self._queries[qid].created_at
-                for qid in self._satisfied_at
-            ]
-            issued = len(self._queries)
-            satisfied = len(self._satisfied_at)
-            mean_delay = (sum(delays) / len(delays)) if delays else float("nan")
-            caching_overhead = (
-                sum(self._copy_samples) / len(self._copy_samples)
-                if self._copy_samples
-                else 0.0
-            )
+        issued = self._issued
+        satisfied = self._satisfied_count
         return SimulationResult(
             name=name,
             seed=seed,
             queries_issued=issued,
             queries_satisfied=satisfied,
             successful_ratio=(satisfied / issued) if issued else 0.0,
-            mean_access_delay=mean_delay,
-            caching_overhead=caching_overhead,
+            mean_access_delay=(
+                self._delay_sum / satisfied if satisfied else float("nan")
+            ),
+            caching_overhead=(
+                self._copy_sum / self._copy_count if self._copy_count else 0.0
+            ),
             data_generated=self._data_generated,
             replaced_items=self._replaced_items,
             replacement_overhead=(

@@ -1,98 +1,19 @@
-"""Bounded-memory streaming statistics (heavy-traffic metrics path).
+"""Bounded-memory delay quantiles.
 
-Two classic sketches back the collector's streaming mode:
-
-* :class:`ReservoirSampler` — Vitter's Algorithm R: a uniform sample of
-  fixed capacity over a stream of unknown length.  Used to keep a
-  representative set of access delays without the O(queries) delay
-  list.
-* :class:`P2Quantile` — the P² algorithm (Jain & Chlamtac, 1985): an
-  online quantile estimate from five markers, O(1) state and O(1) per
-  observation.  Used for the running delay percentiles exported to the
-  time-series telemetry.
-
-Both are deterministic functions of their input stream (the reservoir
-additionally of its RNG stream), so the streaming collector preserves
-the repo's bitwise reproducibility contracts.
+:class:`P2Quantile` is the P² algorithm (Jain & Chlamtac, 1985): an
+online quantile estimate from five markers, O(1) state and O(1) per
+observation.  The metrics collector keeps three of them for the running
+delay percentiles exported to the time-series telemetry and the health
+monitor.  The estimate is a deterministic function of the input stream,
+so it preserves the repo's bitwise reproducibility contracts.
 """
 
 from __future__ import annotations
 
 import bisect
-from typing import List, NamedTuple, Tuple
+from typing import List, Tuple
 
-import numpy as np
-
-__all__ = ["ReservoirSampler", "ReservoirView", "P2Quantile", "SketchView"]
-
-
-class SketchView(NamedTuple):
-    """O(1) frozen view of a :class:`P2Quantile`: observation count plus
-    the current estimate.  The health monitor captures one per window;
-    the count is monotone over the stream, which windowed-delta
-    consumers rely on (property-tested)."""
-
-    count: int
-    estimate: float
-
-
-class ReservoirView(NamedTuple):
-    """O(1) frozen view of a :class:`ReservoirSampler`: observations
-    seen (monotone) and samples currently held (≤ capacity)."""
-
-    count: int
-    held: int
-
-
-class ReservoirSampler:
-    """Uniform fixed-size sample of a stream (Vitter's Algorithm R)."""
-
-    def __init__(self, capacity: int, rng: np.random.Generator):
-        if capacity < 1:
-            raise ValueError("reservoir capacity must be >= 1")
-        self._capacity = int(capacity)
-        self._rng = rng
-        self._samples: List[float] = []
-        self._count = 0
-
-    @property
-    def capacity(self) -> int:
-        return self._capacity
-
-    @property
-    def count(self) -> int:
-        """Observations seen (≥ len(samples))."""
-        return self._count
-
-    @property
-    def samples(self) -> Tuple[float, ...]:
-        """The current sample, in retention order."""
-        return tuple(self._samples)
-
-    def observe(self, value: float) -> None:
-        self._count += 1
-        if len(self._samples) < self._capacity:
-            self._samples.append(value)
-            return
-        # Element i of the stream replaces a reservoir slot with
-        # probability capacity/i — one integer draw per observation.
-        slot = int(self._rng.integers(0, self._count))
-        if slot < self._capacity:
-            self._samples[slot] = value
-
-    def view(self) -> ReservoirView:
-        """Cheap frozen (count, held) view — the windowed-delta probe."""
-        return ReservoirView(count=self._count, held=len(self._samples))
-
-    def quantile(self, q: float) -> float:
-        """Empirical quantile of the reservoir (NaN when empty)."""
-        if not 0.0 <= q <= 1.0:
-            raise ValueError("q must be in [0, 1]")
-        if not self._samples:
-            return float("nan")
-        ordered = sorted(self._samples)
-        index = min(len(ordered) - 1, int(q * len(ordered)))
-        return ordered[index]
+__all__ = ["P2Quantile"]
 
 
 class P2Quantile:
@@ -194,7 +115,3 @@ class P2Quantile:
             index = min(len(self._initial) - 1, int(self._q * len(self._initial)))
             return self._initial[index]
         return self._heights[2]
-
-    def view(self) -> SketchView:
-        """Cheap frozen (count, estimate) view — the windowed-delta probe."""
-        return SketchView(count=self._count, estimate=self.value)

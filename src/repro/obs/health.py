@@ -366,7 +366,7 @@ class HealthMonitor:
 
         Must be called with the same ``end`` the session advanced to
         (the collector's ``pending_queries`` requires non-decreasing
-        times in streaming mode).
+        times).
         """
         if self._simulator is None or self._last_totals is None:
             raise RuntimeError("HealthMonitor.attach(simulator) must run first")

@@ -71,10 +71,10 @@ SUBSYSTEMS = {
     "nodes": "per-node state: cache buffers, own data, popularity tables, bundle routing state",
     "scheme": "caching-scheme state: NCL selection, routers, response strategy",
     "weight_cache": "shared PathWeightCache array payloads (path-weight memo)",
-    "metrics": "MetricsCollector query/delivery state (exact or streaming)",
+    "metrics": "MetricsCollector open/satisfied query maps, running sums and delay sketches",
     "workload": "workload catalogue: retained data items and popularity indices",
     "events": "event-engine queue of scheduled simulation events",
-    "observability": "trace recorder, timeline, time-series rows and memory samples",
+    "observability": "trace recorder, registry instruments, time-series rows and memory samples",
 }
 
 _MB = float(2**20)

@@ -1,10 +1,12 @@
 """Periodic time-series sampling of system state.
 
-Generalises :mod:`repro.metrics.timeline` (which keeps the paper's
-headline counters) into a full mid-run telemetry stream: each
-:class:`TimeSeriesSample` additionally records per-node buffer
-occupancy, per-NCL caching load, the cumulative cache-hit ratio and the
-number of pending (issued, unsatisfied, unexpired) queries.
+The one per-sample recorder: at every ``SAMPLE_METRICS`` event each
+:class:`TimeSeriesSample` records the paper's headline counters (live
+items, cached copies, queries issued and satisfied) together with
+per-node buffer occupancy, per-NCL caching load, the cumulative
+cache-hit ratio and the number of pending (issued, unsatisfied,
+unexpired) queries.  ``repro simulate --timeline-out`` writes its CSV
+projection (:func:`write_csv`).
 
 The sampler follows the same zero-overhead convention as tracing and
 profiling: the simulator only assembles a sample when

@@ -143,7 +143,6 @@ def simulator_config(
         trace_path=trace_path,
         profile=run.profile,
         timeseries=run.timeseries,
-        streaming_metrics=run.streaming_metrics,
         sparse_graph=run.sparse_graph,
         mem_profile=run.mem_profile,
         dynamics=spec.dynamics if spec.dynamics else None,

@@ -107,8 +107,6 @@ class RunSpec:
     profile: bool = False
     timeseries: bool = False
     validate_invariants: bool = False
-    #: bounded-memory metrics collection (the heavy-traffic path)
-    streaming_metrics: bool = False
     #: contact-graph storage: True/False force adjacency-list/dense,
     #: ``None`` auto-selects by node count (the scale-out path)
     sparse_graph: Optional[bool] = None

@@ -29,7 +29,6 @@ from repro.errors import ConfigurationError
 from repro.graph.estimator import OnlineContactGraphEstimator
 from repro.metrics.collector import MetricsCollector
 from repro.metrics.results import SimulationResult
-from repro.metrics.timeline import TimelineRecorder
 from repro.obs.derive import derive_metrics
 from repro.obs.events import TraceEvent, TraceEventKind
 from repro.obs.memory import NULL_MEMORY_MONITOR, MemoryMonitor, MemorySample, deep_sizeof
@@ -105,13 +104,9 @@ class SimulatorConfig:
         occupancy, per-NCL load, cache-hit ratio, pending queries) at
         every ``SAMPLE_METRICS`` event.  Off by default.
     streaming_metrics:
-        Run the collector in bounded-memory streaming mode
-        (:class:`repro.metrics.collector.MetricsCollector` with running
-        sums, a delay reservoir and pruned per-query state) — the
-        heavy-traffic path.  Off by default: the exact mode retains the
-        full query record.
-    reservoir_size:
-        Capacity of the streaming mode's uniform delay sample.
+        Nothing reads it: every run takes the one bounded
+        :class:`repro.metrics.collector.MetricsCollector` path.  Kept
+        only so callers that still pass it keep working.
     mem_profile:
         Sample memory telemetry (peak RSS, tracemalloc heap when
         tracing, per-subsystem accountant breakdown) at every
@@ -139,7 +134,6 @@ class SimulatorConfig:
     timeseries: bool = False
     dynamics: Optional[DynamicsConfig] = None
     streaming_metrics: bool = False
-    reservoir_size: int = 256
     mem_profile: bool = False
     sparse_graph: Optional[bool] = None
 
@@ -152,8 +146,6 @@ class SimulatorConfig:
             raise ConfigurationError("snapshot_period must be non-negative")
         if self.sample_period is not None and self.sample_period <= 0:
             raise ConfigurationError("sample_period must be positive")
-        if self.reservoir_size < 1:
-            raise ConfigurationError("reservoir_size must be >= 1")
 
 
 class Simulator:
@@ -188,19 +180,7 @@ class Simulator:
             self.recorder = NULL_RECORDER
 
         self._factory = SeedSequenceFactory(self.config.seed)
-        # The streaming collector's reservoir draws from its own named
-        # stream; the exact collector draws nothing (and gets no stream,
-        # keeping its construction byte-identical to the legacy path).
-        self.metrics = (
-            MetricsCollector(
-                streaming=True,
-                reservoir_size=self.config.reservoir_size,
-                rng=self._factory.generator("metrics"),
-            )
-            if self.config.streaming_metrics
-            else MetricsCollector()
-        )
-        self.timeline = TimelineRecorder()
+        self.metrics = MetricsCollector()
         # Aggregate instruments are always on (an inc is one integer add);
         # spans and extended sampling are opt-in behind enabled guards.
         self.registry = MetricsRegistry()
@@ -484,14 +464,6 @@ class Simulator:
                     },
                 )
             )
-        self.timeline.record(
-            time=now,
-            live_items=len(live),
-            cached_copies=cached,
-            queries_issued=self.metrics.queries_issued,
-            queries_satisfied=self.metrics.queries_satisfied,
-            mean_buffer_occupancy=occupancy / len(self.nodes),
-        )
         mem_sample: Optional[MemorySample] = None
         if self.memory.enabled:
             mem_sample = self.memory.sample(now)
@@ -552,7 +524,6 @@ class Simulator:
             id(self.workload_process),
             id(self.engine),
             id(self.recorder),
-            id(self.timeline),
             id(self.registry),
             id(self.timeseries),
             id(self.profiler),
@@ -563,12 +534,11 @@ class Simulator:
         return deep_sizeof(self.scheme, seen)
 
     def _obs_nbytes(self) -> int:
-        """Bytes of observability state: recorder buffers, the timeline,
-        registry instruments, extended time-series rows, and the memory
-        samples themselves."""
+        """Bytes of observability state: recorder buffers, registry
+        instruments, extended time-series rows, and the memory samples
+        themselves."""
         seen: Set[int] = set()
         total = deep_sizeof(self.recorder, seen)
-        total += deep_sizeof(self.timeline, seen)
         total += deep_sizeof(self.registry, seen)
         total += deep_sizeof(self.timeseries, seen)
         total += deep_sizeof(self.memory.samples, seen)

@@ -96,6 +96,7 @@ class ContactTrace:
         end_time: Optional[float] = None,
     ):
         self._contacts: List[Contact] = sorted(contacts)
+        derived_start = derived_end = 0.0
         if self._contacts:
             derived_start = self._contacts[0].start
             derived_end = max(c.end for c in self._contacts)
@@ -109,8 +110,10 @@ class ContactTrace:
                     f"declared end {end_time} precedes the last contact "
                     f"ending at {derived_end}"
                 )
-        self._start_time = None if start_time is None else float(start_time)
-        self._end_time = None if end_time is None else float(end_time)
+        # The contact list never changes after construction, so the
+        # window is fixed here.
+        self._start_time = derived_start if start_time is None else float(start_time)
+        self._end_time = derived_end if end_time is None else float(end_time)
         if num_nodes is None:
             if not self._contacts:
                 raise TraceConsistencyError("empty trace requires explicit num_nodes")
@@ -149,15 +152,11 @@ class ContactTrace:
 
     @property
     def start_time(self) -> float:
-        if self._start_time is not None:
-            return self._start_time
-        return self._contacts[0].start if self._contacts else 0.0
+        return self._start_time
 
     @property
     def end_time(self) -> float:
-        if self._end_time is not None:
-            return self._end_time
-        return max((c.end for c in self._contacts), default=0.0)
+        return self._end_time
 
     @property
     def duration(self) -> float:

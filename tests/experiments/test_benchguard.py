@@ -5,14 +5,9 @@ import json
 import pytest
 
 from repro.experiments.benchguard import (
-    HEALTH_OVERHEAD_THRESHOLD,
     MEMORY_FOOTPRINT_THRESHOLD,
-    MEMORY_OVERHEAD_THRESHOLD,
-    check_health_overhead,
+    TWIN_OVERHEAD_CAPS,
     check_memory_footprint,
-    check_memory_overhead,
-    check_profiler_overhead,
-    check_reelection_overhead,
     check_throughput,
     check_twin_overhead,
     compare_against_baseline,
@@ -41,31 +36,17 @@ class TestCompare:
 
 
 class TestTwinOverhead:
-    @pytest.mark.parametrize(
-        "check, suffixed",
-        [
-            (check_profiler_overhead, "k_profiled"),
-            (check_reelection_overhead, "k_reelect"),
-            (check_health_overhead, "k_health"),
-            (check_memory_overhead, "k_memory"),
-        ],
-    )
-    def test_within_limit_passes(self, check, suffixed):
-        rows = check({"k": 1.0, suffixed: 1.04})
-        assert rows == [(suffixed, 1.04, False)]
+    @pytest.mark.parametrize("suffix, cap", TWIN_OVERHEAD_CAPS.items())
+    def test_within_limit_passes(self, suffix, cap):
+        suffixed = "k" + suffix
+        rows = check_twin_overhead({"k": 1.0, suffixed: cap - 0.01}, suffix, cap)
+        assert rows == [(suffixed, cap - 0.01, False)]
 
-    @pytest.mark.parametrize(
-        "check, suffixed",
-        [
-            (check_profiler_overhead, "k_profiled"),
-            (check_reelection_overhead, "k_reelect"),
-            (check_health_overhead, "k_health"),
-            (check_memory_overhead, "k_memory"),
-        ],
-    )
-    def test_beyond_limit_fails(self, check, suffixed):
-        rows = check({"k": 1.0, suffixed: 1.10})
-        assert rows[0][2] is True
+    @pytest.mark.parametrize("suffix, cap", TWIN_OVERHEAD_CAPS.items())
+    def test_beyond_limit_fails(self, suffix, cap):
+        suffixed = "k" + suffix
+        rows = check_twin_overhead({"k": 1.0, suffixed: cap + 0.05}, suffix, cap)
+        assert rows == [(suffixed, cap + 0.05, True)]
 
     def test_missing_twin_yields_no_row(self):
         assert check_twin_overhead({"k_reelect": 1.0}, "_reelect", 1.05) == []
@@ -81,9 +62,9 @@ class TestTwinOverhead:
             "test_bench_throughput_serve_batches": 2.0,
             "test_bench_throughput_serve_batches_health": 2.06,
         }
-        rows = check_health_overhead(means)
+        rows = check_twin_overhead(means, "_health", TWIN_OVERHEAD_CAPS["_health"])
         assert rows == [("test_bench_throughput_serve_batches_health", 1.03, False)]
-        assert HEALTH_OVERHEAD_THRESHOLD == 1.05
+        assert TWIN_OVERHEAD_CAPS["_health"] == 1.05
 
 
 class TestLoadMeans:
@@ -219,4 +200,4 @@ class TestMemoryFootprint:
         assert rows == [("fresh", 9999.0, None, False)]
 
     def test_memory_twin_cap_matches_other_instruments(self):
-        assert MEMORY_OVERHEAD_THRESHOLD == 1.05
+        assert TWIN_OVERHEAD_CAPS["_memory"] == 1.05

@@ -111,11 +111,6 @@ class TestServeSession:
         assert tail > 0
         session.finalize()
 
-    def test_defaults_to_streaming_collector(self):
-        session = ServeSession(serve_trace(), NoCache(), workload())
-        assert session.simulator.metrics.streaming
-        session.finalize()
-
     def test_run_batch_after_finalize_rejected(self):
         session = ServeSession(serve_trace(), NoCache(), workload())
         session.finalize()
@@ -130,7 +125,7 @@ class TestServeSession:
 
     def test_dynamics_incompatible_with_serving(self):
         dynamics = DynamicsConfig(events=(DynamicsEvent("leave", 0.5, node=1),))
-        config = SimulatorConfig(streaming_metrics=True, dynamics=dynamics)
+        config = SimulatorConfig(dynamics=dynamics)
         with pytest.raises(ConfigurationError):
             ServeSession(serve_trace(), NoCache(), workload(), config)
 

@@ -1,7 +1,7 @@
 """Heavy-traffic acceptance: bounded collector memory at scale.
 
-The tentpole's memory contract: a streaming-mode run holds O(open +
-reservoir) per-query state no matter how many queries pass through.
+The collector's memory contract: a run holds O(open) per-query state
+no matter how many queries pass through.
 The ungated tests prove it at ~10⁵ queries (fast enough for tier-1);
 ``REPRO_BIG_TESTS=1`` unlocks the full 10⁶-query acceptance runs, both
 as a raw collector feed and as an end-to-end bursty serve session.
@@ -32,7 +32,7 @@ WAVE = 1_000
 def drive_streaming_collector(num_queries: int) -> MetricsCollector:
     """Feed *num_queries* in overlapping waves; assert bounded state
     throughout (not only at the end — growth must never happen)."""
-    collector = MetricsCollector(streaming=True, reservoir_size=256)
+    collector = MetricsCollector()
     constraint = float(WAVE)  # each wave's queries expire as the next ends
     for index in range(num_queries):
         t = float(index)
@@ -52,9 +52,6 @@ def drive_streaming_collector(num_queries: int) -> MetricsCollector:
             collector.pending_queries(t)
             assert collector.open_queries <= 2 * WAVE
             assert len(collector._satisfied) <= 2 * WAVE
-    assert collector._queries is None
-    assert collector._satisfied_at is None
-    assert len(collector.delay_reservoir) == 256
     assert collector.queries_issued == num_queries
     return collector
 
@@ -96,8 +93,6 @@ def _bursty_session(num_nodes=24, seed=3):
 
 def _assert_session_bounded(session, num_nodes):
     metrics = session.simulator.metrics
-    assert metrics.streaming
-    assert metrics._queries is None
     # Open queries span at most the constraint window: one query round,
     # every node bursting — far below the cumulative issue count.
     assert metrics.open_queries <= 10 * num_nodes

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from repro.errors import SimulationError
 from repro.metrics.collector import MetricsCollector
 from tests.conftest import make_item, make_query
 
@@ -24,10 +25,11 @@ class TestQueryMetrics:
         assert not collector.on_query_satisfied(query, now=150.0)
         assert collector.queries_satisfied == 0
 
-    def test_unknown_query_ignored(self):
+    def test_unknown_query_raises(self):
         collector = MetricsCollector()
         query = make_query(query_id=1)
-        assert not collector.on_query_satisfied(query, now=1.0)
+        with pytest.raises(SimulationError, match="query 1"):
+            collector.on_query_satisfied(query, now=1.0)
 
     def test_is_satisfied(self):
         collector = MetricsCollector()
@@ -90,15 +92,16 @@ class TestLateDeliveries:
         assert collector.late_deliveries == 0
 
     def test_classification_precedence(self):
-        # duplicate beats late: a second copy after expiry still counts
-        # as a duplicate because the query was already satisfied.
+        # late beats duplicate: a second copy after expiry is late even
+        # though the query was already satisfied.
         collector = MetricsCollector()
         query = make_query(query_id=1, created_at=0.0, time_constraint=100.0)
         collector.on_query_created(query)
         assert collector.record_delivery(query, now=50.0) == "first"
-        assert collector.record_delivery(query, now=150.0) == "duplicate"
+        assert collector.record_delivery(query, now=150.0) == "late"
         unknown = make_query(query_id=2, created_at=0.0, time_constraint=100.0)
-        assert collector.record_delivery(unknown, now=50.0) == "unknown"
+        with pytest.raises(SimulationError, match="query 2"):
+            collector.record_delivery(unknown, now=50.0)
 
 
 class TestPendingQueries:
@@ -109,14 +112,20 @@ class TestPendingQueries:
         collector.on_query_created(query)
         return query
 
-    @pytest.mark.parametrize("streaming", [False, True])
-    def test_open_set_retires_on_expiry_and_delivery(self, streaming):
-        collector = MetricsCollector(streaming=streaming)
+    @pytest.mark.parametrize("via_record_delivery", [False, True])
+    def test_open_set_retires_on_expiry_and_delivery(self, via_record_delivery):
+        # Both delivery entry points must retire the query: the simulator
+        # calls record_delivery, callers that only need the verdict call
+        # on_query_satisfied.
+        collector = MetricsCollector()
         early = self._issue(collector, 1, created_at=0.0)
         kept = self._issue(collector, 2, created_at=50.0)
         self._issue(collector, 3, created_at=50.0)
         assert collector.pending_queries(60.0) == 3
-        collector.on_query_satisfied(kept, now=70.0)
+        if via_record_delivery:
+            assert collector.record_delivery(kept, now=70.0) == "first"
+        else:
+            assert collector.on_query_satisfied(kept, now=70.0)
         assert collector.pending_queries(80.0) == 2
         # early expires at 100; strictly-after retires it
         assert collector.pending_queries(100.0) == 2
@@ -124,18 +133,8 @@ class TestPendingQueries:
         assert collector.pending_queries(200.0) == 0
         assert early.expires_at == 100.0
 
-    def test_exact_mode_answers_out_of_order_via_full_scan(self):
-        collector = MetricsCollector()
-        self._issue(collector, 1, created_at=0.0)
-        self._issue(collector, 2, created_at=500.0)
-        assert collector.pending_queries(600.0) == 1
-        # Out-of-order query: the historical full scan answers (it
-        # checks expiry only, exactly as the pre-heap implementation
-        # did), instead of raising like the streaming mode.
-        assert collector.pending_queries(50.0) == 2
-
     def test_streaming_mode_requires_monotone_times(self):
-        collector = MetricsCollector(streaming=True)
+        collector = MetricsCollector()
         self._issue(collector, 1, created_at=0.0)
         collector.pending_queries(600.0)
         with pytest.raises(ValueError):
@@ -143,36 +142,10 @@ class TestPendingQueries:
 
 
 class TestStreamingMode:
-    def test_no_full_records_exist(self):
-        collector = MetricsCollector(streaming=True)
-        assert collector.streaming
-        assert collector._queries is None
-        assert collector._satisfied_at is None
-        assert collector._copy_samples is None
-
-    def test_counters_match_exact_mode(self):
-        exact = MetricsCollector()
-        streaming = MetricsCollector(streaming=True)
-        for collector in (exact, streaming):
-            queries = [
-                make_query(query_id=i, created_at=0.0, time_constraint=100.0)
-                for i in range(5)
-            ]
-            for q in queries:
-                collector.on_query_created(q)
-            collector.on_query_satisfied(queries[0], now=10.0)
-            collector.on_query_satisfied(queries[1], now=30.0)
-            collector.on_query_satisfied(queries[1], now=40.0)  # duplicate
-            collector.on_query_satisfied(queries[2], now=150.0)  # late
-            collector.sample_copies_per_item(10, 5)
-        a = exact.finalize("pair", seed=1)
-        b = streaming.finalize("pair", seed=1)
-        assert a == b  # every field, including the bitwise mean delay
-
     def test_memory_is_bounded_by_open_not_issued(self):
         """10k sequential queries, each expiring before the next wave:
         per-query state must track the open window, never the history."""
-        collector = MetricsCollector(streaming=True, reservoir_size=32)
+        collector = MetricsCollector()
         for index in range(10_000):
             t = float(index)
             query = make_query(query_id=index, created_at=t, time_constraint=5.0)
@@ -183,24 +156,14 @@ class TestStreamingMode:
         assert collector.queries_issued == 10_000
         assert collector.open_queries <= 8          # ~constraint-width window
         assert len(collector._satisfied) <= 8
-        assert len(collector.delay_reservoir) == 32
 
-    def test_reservoir_and_quantiles_observe_delays(self):
-        collector = MetricsCollector(streaming=True, reservoir_size=4)
+    def test_quantiles_observe_delays(self):
+        collector = MetricsCollector()
         for index in range(6):
             query = make_query(query_id=index, created_at=0.0, time_constraint=100.0)
             collector.on_query_created(query)
             collector.on_query_satisfied(query, now=10.0 + index)
-        assert len(collector.delay_reservoir) == 4
         assert 10.0 <= collector.delay_p50 <= 15.0
-
-    def test_exact_mode_has_no_reservoir(self):
-        collector = MetricsCollector()
-        query = make_query(query_id=1, created_at=0.0, time_constraint=100.0)
-        collector.on_query_created(query)
-        collector.on_query_satisfied(query, now=10.0)
-        assert collector.delay_reservoir == ()
-        assert collector.delay_p50 == 10.0
 
 
 class TestFinalize:

@@ -1,67 +1,11 @@
-"""Unit tests for the bounded-memory sketches (reservoir + P²)."""
+"""Unit tests for the P² delay-quantile sketch."""
 
 import math
 
 import numpy as np
 import pytest
 
-from repro.metrics.streaming import P2Quantile, ReservoirSampler
-
-
-class TestReservoirSampler:
-    def test_keeps_everything_below_capacity(self):
-        sampler = ReservoirSampler(10, np.random.default_rng(1))
-        for value in range(7):
-            sampler.observe(float(value))
-        assert sampler.samples == tuple(float(v) for v in range(7))
-        assert sampler.count == 7
-
-    def test_capacity_is_bounded(self):
-        sampler = ReservoirSampler(16, np.random.default_rng(1))
-        for value in range(10_000):
-            sampler.observe(float(value))
-        assert len(sampler.samples) == 16
-        assert sampler.count == 10_000
-
-    def test_uniformity(self):
-        """Each stream element survives with probability capacity/n:
-        averaged over many independent reservoirs, the retained values
-        should have mean near the stream mean."""
-        means = []
-        for seed in range(200):
-            sampler = ReservoirSampler(8, np.random.default_rng(seed))
-            for value in range(100):
-                sampler.observe(float(value))
-            means.append(sum(sampler.samples) / len(sampler.samples))
-        assert sum(means) / len(means) == pytest.approx(49.5, abs=3.0)
-
-    def test_deterministic_given_rng(self):
-        streams = []
-        for _ in range(2):
-            sampler = ReservoirSampler(8, np.random.default_rng(42))
-            for value in range(1000):
-                sampler.observe(float(value))
-            streams.append(sampler.samples)
-        assert streams[0] == streams[1]
-
-    def test_quantile(self):
-        sampler = ReservoirSampler(100, np.random.default_rng(1))
-        for value in range(100):
-            sampler.observe(float(value))
-        assert sampler.quantile(0.0) == 0.0
-        assert sampler.quantile(0.5) == 50.0
-        assert sampler.quantile(1.0) == 99.0
-
-    def test_empty_quantile_is_nan(self):
-        sampler = ReservoirSampler(4, np.random.default_rng(1))
-        assert math.isnan(sampler.quantile(0.5))
-
-    def test_invalid_arguments(self):
-        with pytest.raises(ValueError):
-            ReservoirSampler(0, np.random.default_rng(1))
-        sampler = ReservoirSampler(4, np.random.default_rng(1))
-        with pytest.raises(ValueError):
-            sampler.quantile(1.5)
+from repro.metrics.streaming import P2Quantile
 
 
 class TestP2Quantile:

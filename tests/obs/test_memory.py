@@ -145,7 +145,6 @@ def oracle_nbytes_scheme(sim):
         sim.workload_process,
         sim.engine,
         sim.recorder,
-        sim.timeline,
         sim.registry,
         sim.timeseries,
         sim.profiler,
@@ -174,7 +173,7 @@ def oracle_nbytes_events(sim):
 
 def oracle_nbytes_observability(sim):
     return _gc_sizeof(
-        [sim.recorder, sim.timeline, sim.registry, sim.timeseries, sim.memory.samples]
+        [sim.recorder, sim.registry, sim.timeseries, sim.memory.samples]
     )
 
 

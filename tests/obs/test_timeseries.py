@@ -123,3 +123,29 @@ class TestMergeAndSummary:
 
     def test_summary_of_empty(self):
         assert summarize_timeseries([]) == {}
+
+
+class TestSimulatorIntegration:
+    def test_simulator_populates_timeseries(self):
+        from repro.caching.nocache import NoCache
+        from repro.sim.simulator import Simulator, SimulatorConfig
+        from repro.traces.synthetic import SyntheticTraceConfig, generate_synthetic_trace
+        from repro.units import DAY, HOUR, MEGABIT
+        from repro.workload.config import WorkloadConfig
+
+        trace = generate_synthetic_trace(
+            SyntheticTraceConfig(
+                name="tl", num_nodes=8, duration=3 * DAY,
+                total_contacts=800, granularity=60.0, seed=1,
+            )
+        )
+        workload = WorkloadConfig(mean_data_lifetime=8 * HOUR, mean_data_size=10 * MEGABIT)
+        sim = Simulator(
+            trace, NoCache(), workload, SimulatorConfig(seed=2, timeseries=True)
+        )
+        sim.run()
+        samples = sim.timeseries.samples
+        assert len(samples) > 0
+        times = [sample.time for sample in samples]
+        assert times == sorted(times)
+        assert all(0.0 <= s.mean_buffer_occupancy <= 1.0 for s in samples)

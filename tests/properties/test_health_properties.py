@@ -1,26 +1,17 @@
 """Property tests for the windowed-delta health contracts.
 
-Two invariants back the live health monitor's design:
-
-* **Delta consistency** — chopping a stream of collector events into
-  arbitrary windows and summing each window's
-  :meth:`CollectorTotals.delta` must reproduce the final totals
-  bit-exactly, whatever the window boundaries (the foundation of
-  :func:`repro.obs.health.check_health_consistency`).
-* **Monotone sketch counts** — the O(1) ``view()`` probes of
-  :class:`P2Quantile` and :class:`ReservoirSampler` report observation
-  counts that never decrease and grow by exactly the number of
-  observations between views, so windowed consumers can difference
-  them safely.
+**Delta consistency** backs the live health monitor's design: chopping
+a stream of collector events into arbitrary windows and summing each
+window's :meth:`CollectorTotals.delta` must reproduce the final totals
+bit-exactly, whatever the window boundaries (the foundation of
+:func:`repro.obs.health.check_health_consistency`).
 """
 
-import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.data import Query
 from repro.metrics.collector import CollectorTotals, MetricsCollector
-from repro.metrics.streaming import P2Quantile, ReservoirSampler
 from repro.obs.health import HealthMonitor, check_health_consistency
 from repro.obs.slo import SLORule
 
@@ -63,7 +54,7 @@ def _apply_events(collector, kinds):
 def test_window_deltas_sum_to_totals(kinds, cuts):
     """Sum of per-window CollectorTotals deltas == final totals, for any
     choice of window boundaries over any event stream."""
-    collector = MetricsCollector(streaming=True)
+    collector = MetricsCollector()
     views = [collector.totals()]
     for i, state in enumerate(_apply_events(collector, kinds)):
         if i in cuts:
@@ -80,60 +71,12 @@ def test_window_deltas_sum_to_totals(kinds, cuts):
 @settings(max_examples=100, deadline=None)
 def test_totals_are_monotone_per_field(kinds):
     """Every CollectorTotals counter is non-decreasing in stream order."""
-    collector = MetricsCollector(streaming=True)
+    collector = MetricsCollector()
     previous = collector.totals()
     for state in _apply_events(collector, kinds):
         current = state.totals()
         assert all(a >= b for a, b in zip(current, previous))
         previous = current
-
-
-@given(
-    values=st.lists(
-        st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
-        min_size=0,
-        max_size=120,
-    ),
-    q=st.sampled_from([0.5, 0.95, 0.99]),
-)
-@settings(max_examples=150, deadline=None)
-def test_p2_view_counts_monotone_and_exact(values, q):
-    """P2Quantile.view(): counts increase by exactly one per observation
-    and the view's estimate equals the live property at capture time."""
-    sketch = P2Quantile(q)
-    last = sketch.view()
-    assert last.count == 0
-    for i, value in enumerate(values):
-        sketch.observe(value)
-        view = sketch.view()
-        assert view.count == last.count + 1 == i + 1
-        assert view.estimate == sketch.value or (
-            np.isnan(view.estimate) and np.isnan(sketch.value)
-        )
-        last = view
-
-
-@given(
-    values=st.lists(
-        st.floats(min_value=0.0, max_value=1e6, allow_nan=False),
-        min_size=0,
-        max_size=120,
-    ),
-    capacity=st.integers(min_value=1, max_value=16),
-    seed=st.integers(min_value=0, max_value=2**31 - 1),
-)
-@settings(max_examples=150, deadline=None)
-def test_reservoir_view_counts_monotone_and_bounded(values, capacity, seed):
-    """ReservoirSampler.view(): counts monotone by one per observation,
-    held size equals min(count, capacity) for Algorithm R."""
-    sampler = ReservoirSampler(capacity, np.random.default_rng(seed))
-    last = sampler.view()
-    for value in values:
-        sampler.observe(value)
-        view = sampler.view()
-        assert view.count == last.count + 1
-        assert view.held == min(view.count, capacity)
-        last = view
 
 
 @given(
