@@ -266,9 +266,12 @@ def _run_traced_sim(diagnose):
     )
     result = sim.run()
     if diagnose:
+        from repro.obs.causality import build_causality
         from repro.obs.diagnose import run_diagnosis
 
-        diagnosis = run_diagnosis(recorder.events, contact_trace=trace)
+        diagnosis = run_diagnosis(
+            build_causality(recorder.events), contact_trace=trace
+        )
         assert diagnosis.num_events > 0
     return result
 

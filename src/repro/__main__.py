@@ -46,6 +46,7 @@ from repro.experiments.figures import TableResult
 from repro.graph.contact_graph import ContactGraph
 from repro.core.ncl import select_ncls
 from repro.metrics.results import SimulationResult
+from repro.obs.causality import CausalityIndex
 from repro.scenario import (
     RESPONSE_STRATEGIES,
     ROUTERS,
@@ -486,12 +487,13 @@ def cmd_figure(args: argparse.Namespace) -> int:
     return 0
 
 
-def _render_drilldown(events, query_id: Optional[int], data_id: Optional[int]) -> int:
+def _render_drilldown(
+    causality: CausalityIndex, query_id: Optional[int], data_id: Optional[int]
+) -> int:
     """Shared ``--query-id``/``--data-id`` timeline rendering (trace +
     diagnose commands)."""
-    from repro.obs import build_causality, render_push_timeline, render_query_timeline
+    from repro.obs import render_push_timeline, render_query_timeline
 
-    causality = build_causality(events)
     try:
         if query_id is not None:
             print(render_query_timeline(causality, query_id))
@@ -504,16 +506,16 @@ def _render_drilldown(events, query_id: Optional[int], data_id: Optional[int]) -
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
-    from repro.obs import read_events, render_audit_report
+    from repro.obs import build_causality, read_events, render_audit_report
 
     try:
-        events = list(read_events(args.path))
+        causality = build_causality(read_events(args.path))
     except (OSError, ValueError) as exc:
         print(f"cannot read trace {args.path!r}: {exc}", file=sys.stderr)
         return 2
     if args.query_id is not None or args.data_id is not None:
-        return _render_drilldown(events, args.query_id, args.data_id)
-    print(render_audit_report(events, limit=args.limit, only=args.only))
+        return _render_drilldown(causality, args.query_id, args.data_id)
+    print(render_audit_report(causality, limit=args.limit, only=args.only))
     return 0
 
 
@@ -523,6 +525,7 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
 
     from repro.experiments.runstore import contact_trace_from_manifest, load_run
     from repro.obs import (
+        build_causality,
         diagnosis_to_dict,
         read_events,
         render_diagnosis,
@@ -553,13 +556,13 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
     else:
         trace_path = args.path
     try:
-        events = list(read_events(trace_path))
+        causality = build_causality(read_events(trace_path))
     except (OSError, ValueError) as exc:
         print(f"cannot read trace {trace_path!r}: {exc}", file=sys.stderr)
         return 2
 
     if args.query_id is not None or args.data_id is not None:
-        return _render_drilldown(events, args.query_id, args.data_id)
+        return _render_drilldown(causality, args.query_id, args.data_id)
 
     thresholds = override_thresholds(
         FidelityThresholds(),
@@ -570,7 +573,7 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
         min_samples=args.min_samples,
     )
     diagnosis = run_diagnosis(
-        events,
+        causality,
         contact_trace=contact_trace,
         thresholds=thresholds,
         provenance=provenance,

@@ -31,7 +31,7 @@ from typing import Any, Dict, List, Optional
 
 from repro.errors import ConfigurationError
 from repro.experiments.runner import ExperimentResult
-from repro.obs.derive import render_audit_report
+from repro.obs.causality import build_causality, render_audit_report
 from repro.obs.diagnose import render_diagnosis, run_diagnosis
 from repro.obs.health import read_health_log, render_health_table
 from repro.obs.memory import read_memory_log, render_memory_table
@@ -304,10 +304,11 @@ def render_run_report(run_dir: str, audit_limit: int = 10) -> str:
     if data["trace_path"]:
         events = list(read_events(data["trace_path"]))
         sections.append("\n".join(_event_counts_section(events)))
-        audit = render_audit_report(events, limit=audit_limit)
+        causality = build_causality(events)
+        audit = render_audit_report(causality, limit=audit_limit)
         sections.append("## Trace audit\n\n```\n" + audit + "\n```")
         diagnosis = run_diagnosis(
-            events,
+            causality,
             contact_trace=contact_trace_from_manifest(data["manifest"]),
             provenance=data["manifest"],
         )

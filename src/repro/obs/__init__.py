@@ -1,20 +1,25 @@
-"""Observability: structured lifecycle tracing and metric derivation.
+"""Observability: structured lifecycle tracing and its one replay.
 
 Every data item and query in a simulation run has a lifecycle
 (generated → pushed → cached@NCL → queried → responded → delivered /
-expired).  This package records that lifecycle as span-like events,
-persists them as JSONL, and *re-derives* the paper's evaluation metrics
-(successful ratio, access delay, caching overhead) from the event
-stream — an independent accounting path that is cross-checked against
-the live counters of :class:`repro.metrics.collector.MetricsCollector`
-(see :func:`repro.sim.invariants.check_trace_consistency`).
+expired).  This package records that lifecycle as span-like events and
+persists them as JSONL.  :func:`~repro.obs.causality.build_causality`
+is the only reader of that stream: it replays it once into a
+:class:`~repro.obs.causality.CausalityIndex` of per-data push trees and
+per-query response DAGs.  Everything else is a projection of that
+index:
 
-On top of the raw stream, :mod:`repro.obs.causality` reconstructs *why*
-each metric came out as it did (per-data push trees, per-query response
-DAGs, bit-exact chain↔counter cross-check), :mod:`repro.obs.fidelity`
-measures how far the realized run drifted from the paper's analytical
-model (KS, calibration curves, Brier scores, NCL load balance), and
-:mod:`repro.obs.diagnose` bundles both into ``repro diagnose``.
+* the paper's evaluation metrics (successful ratio, access delay,
+  caching overhead), read from the delivery chains by
+  :meth:`~repro.obs.causality.CausalityIndex.metrics` and compared with
+  the live counters of :class:`repro.metrics.collector.MetricsCollector`
+  (see :func:`repro.sim.invariants.check_trace_consistency`);
+* the per-query audit of ``repro trace``
+  (:func:`~repro.obs.causality.render_audit_report`);
+* :mod:`repro.obs.fidelity`, which measures how far the realized run
+  drifted from the paper's analytical model (KS, calibration curves,
+  Brier scores, NCL load balance), and :mod:`repro.obs.diagnose`, which
+  bundles the chains and the fidelity sections into ``repro diagnose``.
 
 Tracing is strictly opt-in: every hook guards on
 ``recorder.enabled``, and the default :data:`NULL_RECORDER` keeps the
@@ -32,24 +37,17 @@ from repro.obs.recorder import (
     read_events,
 )
 from repro.obs.primitives import Counter, Histogram, MetricsRegistry
-from repro.obs.derive import (
-    DerivedMetrics,
-    QueryAudit,
-    audit_queries,
-    classify_outcome,
-    delivery_in_constraint,
-    derive_metrics,
-    render_audit_report,
-)
 from repro.obs.causality import (
     CausalityIndex,
+    DerivedMetrics,
     PushChain,
     PushTree,
     QueryCausality,
     ResponseCopy,
-    assert_causal_consistency,
     build_causality,
-    check_causal_consistency,
+    classify_outcome,
+    delivery_in_constraint,
+    render_audit_report,
     render_push_timeline,
     render_query_timeline,
     summarize_causality,
@@ -141,11 +139,8 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "DerivedMetrics",
-    "QueryAudit",
-    "audit_queries",
     "classify_outcome",
     "delivery_in_constraint",
-    "derive_metrics",
     "render_audit_report",
     "CausalityIndex",
     "QueryCausality",
@@ -153,8 +148,6 @@ __all__ = [
     "PushChain",
     "PushTree",
     "build_causality",
-    "check_causal_consistency",
-    "assert_causal_consistency",
     "summarize_causality",
     "render_query_timeline",
     "render_push_timeline",

@@ -1,12 +1,20 @@
-"""Causal reconstruction of push trees and query response DAGs.
+"""The one replay of a lifecycle trace: push trees, response DAGs, metrics.
 
-The lifecycle trace (PR 2) records *what* happened; this module recovers
-*why*: for every data item, the custody chains its push copies took
-toward their NCLs (``data_generated`` → ``push.forwarded``* →
+The lifecycle trace records *what* happened; :func:`build_causality`
+recovers *why*: for every data item, the custody chains its push copies
+took toward their NCLs (``data_generated`` → ``push.forwarded``* →
 ``push_completed``), and for every query, the response DAG from creation
 through observation, the Sec. V-C response decisions, per-copy relay
 custody, and delivery (``query_created`` → ``query_observed`` →
 ``response_decided``/``emitted``/``forwarded``/``delivered``).
+
+It is the only code that walks a trace's events.  Everything else reads
+the :class:`CausalityIndex` it returns: the paper's Sec. VI metrics
+(:meth:`CausalityIndex.metrics`), the per-query audit of ``repro trace``
+(:func:`render_audit_report`), and the ``repro diagnose`` sections.
+Satisfaction is read from the delivery chains; the collector's own
+``query_satisfied`` verdicts are only compared against them
+(:meth:`CausalityIndex.mismatches`).
 
 Two properties make the reconstruction exact rather than heuristic:
 
@@ -23,13 +31,9 @@ matching (flagged ``ambiguous`` when more than one copy qualifies).
 Chains crossing network-dynamics events terminate cleanly: a
 ``node.failed``/``node.left`` at the custody holder breaks the chain and
 tags the break reason; a ``cache.migrated`` event opens a new
-migration-origin chain toward the new central.  Outcome classification
-shares :func:`repro.obs.derive.classify_outcome` and
-:func:`repro.obs.derive.delivery_in_constraint` with the audit layer, so
-boundary deliveries and truncated traces can never classify differently
-between the two paths — :func:`check_causal_consistency` additionally
-proves, event for event, that the causal chains reproduce the derived
-(and therefore the live collector's) metrics bit-exactly.
+migration-origin chain toward the new central.  Outcomes classify
+through :func:`classify_outcome` and :func:`delivery_in_constraint`, the
+collector's own boundary rule.
 """
 
 from __future__ import annotations
@@ -38,17 +42,14 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.errors import TraceConsistencyError
-from repro.obs.derive import (
-    classify_outcome,
-    delivery_in_constraint,
-    derive_metrics,
-)
 from repro.obs.events import TraceEvent, TraceEventKind
 
 __all__ = [
     "HANDLED_KINDS",
     "IGNORED_KINDS",
+    "DerivedMetrics",
+    "classify_outcome",
+    "delivery_in_constraint",
     "Hop",
     "ResponseCopy",
     "QueryCausality",
@@ -56,17 +57,16 @@ __all__ = [
     "PushTree",
     "CausalityIndex",
     "build_causality",
-    "check_causal_consistency",
-    "assert_causal_consistency",
     "summarize_causality",
+    "render_audit_report",
     "render_query_timeline",
     "render_push_timeline",
 ]
 
-#: Event kinds the causal reconstruction dispatches on.  Together with
+#: Event kinds the replay dispatches on.  Together with
 #: :data:`IGNORED_KINDS` this must cover every :class:`TraceEventKind`
-#: member — enforced by ``scripts/check_trace_kinds.py`` — so a newly
-#: added event kind can never be dropped silently by the diagnose parser.
+#: member — enforced by ``tests/obs/test_trace_kind_lint.py`` — so a
+#: newly added event kind can never be dropped silently by the replay.
 HANDLED_KINDS = frozenset(
     {
         TraceEventKind.DATA_GENERATED,
@@ -80,30 +80,29 @@ HANDLED_KINDS = frozenset(
         TraceEventKind.RESPONSE_FORWARDED,
         TraceEventKind.RESPONSE_DELIVERED,
         TraceEventKind.QUERY_SATISFIED,
+        TraceEventKind.SAMPLE,
+        TraceEventKind.DELIVERY_DUPLICATE,
+        TraceEventKind.DELIVERY_LATE,
         TraceEventKind.NODE_FAILED,
         TraceEventKind.NODE_LEFT,
         TraceEventKind.CACHE_MIGRATED,
     }
 )
 
-#: Kinds that carry no custody information: router verdicts, buffer
-#: exchanges (data placement, not bundle custody), periodic samples,
-#: committee re-elections (the migration events that follow are what
-#: move copies), node (re)joins (joining cannot break a chain), the
-#: delivery-classification audit events (the custody chain already
-#: carries the RESPONSE_DELIVERED hop; duplicate/late only label it),
-#: and the live-health annotations (SLO transitions, anomaly flags,
-#: the flash-crowd window and memory-footprint samples are commentary
-#: *about* the run, not steps of any item's custody).
+#: Kinds that carry neither custody nor a metric: router verdicts,
+#: buffer exchanges (data placement, not bundle custody), committee
+#: re-elections (the migration events that follow are what move
+#: copies), node (re)joins (joining cannot break a chain), and the
+#: live-health annotations (SLO transitions, anomaly flags, the
+#: flash-crowd window and memory-footprint samples are commentary
+#: *about* the run, not steps of any item's custody).  The replay skips
+#: them right after advancing ``trace_end``.
 IGNORED_KINDS = frozenset(
     {
         TraceEventKind.ROUTE_DECISION,
         TraceEventKind.EXCHANGE,
-        TraceEventKind.SAMPLE,
         TraceEventKind.NCL_REELECTED,
         TraceEventKind.NODE_JOINED,
-        TraceEventKind.DELIVERY_DUPLICATE,
-        TraceEventKind.DELIVERY_LATE,
         TraceEventKind.SLO_VIOLATED,
         TraceEventKind.SLO_RECOVERED,
         TraceEventKind.HEALTH_ANOMALY,
@@ -111,6 +110,55 @@ IGNORED_KINDS = frozenset(
         TraceEventKind.MEMORY_SAMPLED,
     }
 )
+
+
+def delivery_in_constraint(time: float, expires_at: Optional[float]) -> bool:
+    """Does a delivery at *time* satisfy the query's time constraint?
+
+    Mirrors :meth:`repro.metrics.collector.MetricsCollector.
+    record_delivery`, which rejects only ``now > expires_at`` — a
+    delivery landing **exactly at the boundary** counts as satisfied.
+    Never use ``<`` or ``>=`` in its place, or the replay and the live
+    counters would classify boundary deliveries differently.
+    """
+    return expires_at is None or time <= expires_at
+
+
+def classify_outcome(
+    satisfied_at: Optional[float],
+    expires_at: Optional[float],
+    trace_end: float,
+) -> str:
+    """``satisfied`` / ``expired`` / ``pending`` — the one shared rule.
+
+    A trace truncated before the constraint elapsed (``trace_end <
+    expires_at``) keeps the query *pending* rather than expired; a trace
+    ending exactly at the constraint boundary classifies as expired only
+    when no satisfaction was recorded (the collector would still have
+    accepted a delivery at that instant, see
+    :func:`delivery_in_constraint`).
+    """
+    if satisfied_at is not None:
+        return "satisfied"
+    if expires_at is not None and trace_end >= expires_at:
+        return "expired"
+    return "pending"
+
+
+@dataclass(frozen=True)
+class DerivedMetrics:
+    """The paper's evaluation metrics, recomputed from the trace alone."""
+
+    queries_issued: int
+    queries_satisfied: int
+    successful_ratio: float
+    mean_access_delay: float
+    caching_overhead: float
+    data_generated: int
+    delivery_events: int
+    responses_emitted: int
+    duplicate_deliveries: int = 0
+    late_deliveries: int = 0
 
 
 @dataclass(frozen=True)
@@ -171,6 +219,8 @@ class QueryCausality:
     #: (time, node, respond, probability) per Sec. V-C decision
     decisions: List[Tuple[float, int, bool, float]] = field(default_factory=list)
     copies: List[ResponseCopy] = field(default_factory=list)
+    #: RESPONSE_DELIVERED events, counted even when one copy repeats
+    deliveries: int = 0
     satisfied_at: Optional[float] = None  # from QUERY_SATISFIED events
     #: chain-derived first in-constraint delivery (time, copy index)
     first_delivery: Optional[Tuple[float, int]] = None
@@ -188,10 +238,14 @@ class QueryCausality:
             return None
         return self.first_delivery[0] - self.created_at
 
+    @property
+    def chain_satisfied_at(self) -> Optional[float]:
+        """When the first in-constraint copy arrived (``None``: never)."""
+        return self.first_delivery[0] if self.first_delivery else None
+
     def outcome(self, trace_end: float) -> str:
         """Chain-derived outcome through the shared predicate."""
-        satisfied = self.first_delivery[0] if self.first_delivery else None
-        return classify_outcome(satisfied, self.expires_at, trace_end)
+        return classify_outcome(self.chain_satisfied_at, self.expires_at, trace_end)
 
 
 @dataclass
@@ -255,15 +309,67 @@ class CausalityIndex:
     queries: Dict[int, QueryCausality]
     pushes: Dict[int, PushTree]
     trace_end: float
+    num_events: int
     data_generated: int
     delivery_events: int
     responses_emitted: int
+    duplicate_deliveries: int
+    late_deliveries: int
+    #: running sum of cached copies per live item over the ``sample``
+    #: events with live items, and the number of such samples
+    copy_ratio_sum: float
+    copy_samples: int
     #: (query_id, delivery time, delay) in stream order of the first
     #: in-constraint delivery — replays the collector's summation order
     satisfied_order: List[Tuple[int, float, float]]
 
     def satisfied_ids(self) -> List[int]:
         return [query_id for query_id, _, _ in self.satisfied_order]
+
+    def metrics(self) -> DerivedMetrics:
+        """The paper's Sec. VI metrics as a projection of the chains.
+
+        Satisfaction counts **distinct query ids** with an in-constraint
+        delivery chain, never delivery events: two NCLs answering one
+        query are two ``response_delivered`` events but one satisfied
+        query.  Delays and copy ratios add up one by one in stream order,
+        exactly as the collector's ``+=`` does (``sum()`` compensates on
+        Python ≥ 3.12), so a consistent run matches its counters bit for
+        bit.
+        """
+        issued = sum(1 for query in self.queries.values() if query.created_seen)
+        satisfied = len(self.satisfied_order)
+        delay_sum = 0.0
+        for _, _, delay in self.satisfied_order:
+            delay_sum += delay
+        samples = self.copy_samples
+        return DerivedMetrics(
+            queries_issued=issued,
+            queries_satisfied=satisfied,
+            successful_ratio=(satisfied / issued) if issued else 0.0,
+            mean_access_delay=(delay_sum / satisfied) if satisfied else float("nan"),
+            caching_overhead=(self.copy_ratio_sum / samples) if samples else 0.0,
+            data_generated=self.data_generated,
+            delivery_events=self.delivery_events,
+            responses_emitted=self.responses_emitted,
+            duplicate_deliveries=self.duplicate_deliveries,
+            late_deliveries=self.late_deliveries,
+        )
+
+    def mismatches(self) -> List[str]:
+        """Queries whose ``query_satisfied`` time differs from the chains.
+
+        The collector emits ``query_satisfied`` from its own verdict; the
+        chains say when the first in-constraint copy actually arrived.
+        Either one without the other (``None``), or two different times,
+        is listed.  Empty on a consistent trace.
+        """
+        return [
+            f"query {query.query_id}: query_satisfied at {query.satisfied_at!r}, "
+            f"first in-constraint delivery chain at {query.chain_satisfied_at!r}"
+            for query in self.queries.values()
+            if query.chain_satisfied_at != query.satisfied_at
+        ]
 
 
 def _copy_for(
@@ -276,35 +382,31 @@ def _copy_for(
 
     Exact via ``sequence`` when present; otherwise custody + responder
     narrowing (legacy traces), creating an orphan copy when nothing
-    matches (truncated traces).
+    matches (truncated traces).  An orphan without a ``responder`` attr
+    is attributed to its first carrier, or ``-1`` when that is unknown.
     """
     if sequence is not None:
         for copy in query.copies:
             if copy.sequence == sequence:
                 return copy
-        copy = ResponseCopy(
-            query_id=query.query_id,
-            responder=responder if responder is not None else (carrier or -1),
-            sequence=sequence,
-            orphan=True,
-            custody=[carrier] if carrier is not None else [],
-        )
-        query.copies.append(copy)
-        return copy
-    candidates = [
-        copy
-        for copy in query.copies
-        if copy.delivered_at is None
-        and (carrier is None or carrier in copy.custody)
-        and (responder is None or copy.responder == responder)
-    ]
-    if len(candidates) > 1:
-        query.ambiguous = True
-    if candidates:
-        return candidates[0]
+    else:
+        candidates = [
+            copy
+            for copy in query.copies
+            if copy.delivered_at is None
+            and (carrier is None or carrier in copy.custody)
+            and (responder is None or copy.responder == responder)
+        ]
+        if len(candidates) > 1:
+            query.ambiguous = True
+        if candidates:
+            return candidates[0]
+    if responder is None:
+        responder = carrier if carrier is not None else -1
     copy = ResponseCopy(
         query_id=query.query_id,
-        responder=responder if responder is not None else (carrier or -1),
+        responder=responder,
+        sequence=sequence,
         orphan=True,
         custody=[carrier] if carrier is not None else [],
     )
@@ -328,15 +430,19 @@ def _chain_for(
 
 
 def build_causality(events: Iterable[TraceEvent]) -> CausalityIndex:
-    """Reconstruct push trees and response DAGs from an event stream."""
+    """Replay an event stream into push trees, response DAGs and tallies."""
     queries: Dict[int, QueryCausality] = {}
     pushes: Dict[int, PushTree] = {}
     satisfied_order: List[Tuple[int, float, float]] = []
-    chain_satisfied: Dict[int, float] = {}
+    copy_ratio_sum = 0.0
+    copy_samples = 0
     trace_end = 0.0
+    num_events = 0
     data_generated = 0
     delivery_events = 0
     responses_emitted = 0
+    duplicate_deliveries = 0
+    late_deliveries = 0
 
     def query_for(query_id: int) -> QueryCausality:
         query = queries.get(query_id)
@@ -352,18 +458,21 @@ def build_causality(events: Iterable[TraceEvent]) -> CausalityIndex:
 
     def record_delivery(query: QueryCausality, index: int, time: float) -> None:
         """First in-constraint delivery wins — the satisfying chain."""
-        if query.query_id in chain_satisfied:
+        if query.first_delivery is not None:
             return
         if not delivery_in_constraint(time, query.expires_at):
             return
-        chain_satisfied[query.query_id] = time
         query.first_delivery = (time, index)
         created = query.created_at if query.created_at is not None else time
         satisfied_order.append((query.query_id, time, time - created))
 
     for event in events:
-        trace_end = max(trace_end, event.time)
+        num_events += 1
+        if event.time > trace_end:
+            trace_end = event.time
         kind = event.kind
+        if kind in IGNORED_KINDS:
+            continue
 
         if kind is TraceEventKind.DATA_GENERATED:
             data_generated += 1
@@ -508,6 +617,7 @@ def build_causality(events: Iterable[TraceEvent]) -> CausalityIndex:
             assert event.query_id is not None
             delivery_events += 1
             query = query_for(event.query_id)
+            query.deliveries += 1
             if query.requester is None:
                 query.requester = event.node
             carrier = event.attrs.get("carrier")
@@ -532,6 +642,18 @@ def build_causality(events: Iterable[TraceEvent]) -> CausalityIndex:
                     created = event.attrs.get("created_at")
                     if created is not None:
                         query.created_at = float(created)
+
+        elif kind is TraceEventKind.SAMPLE:
+            live = int(event.attrs.get("live_items", 0))
+            if live > 0:
+                copy_ratio_sum += int(event.attrs["cached_copies"]) / live
+                copy_samples += 1
+
+        elif kind is TraceEventKind.DELIVERY_DUPLICATE:
+            duplicate_deliveries += 1
+
+        elif kind is TraceEventKind.DELIVERY_LATE:
+            late_deliveries += 1
 
         elif kind in (TraceEventKind.NODE_FAILED, TraceEventKind.NODE_LEFT):
             assert event.node is not None
@@ -564,131 +686,20 @@ def build_causality(events: Iterable[TraceEvent]) -> CausalityIndex:
                 )
             )
 
-        # IGNORED_KINDS carry no custody information (see module doc).
-
     return CausalityIndex(
         queries=queries,
         pushes=pushes,
         trace_end=trace_end,
+        num_events=num_events,
         data_generated=data_generated,
         delivery_events=delivery_events,
         responses_emitted=responses_emitted,
+        duplicate_deliveries=duplicate_deliveries,
+        late_deliveries=late_deliveries,
+        copy_ratio_sum=copy_ratio_sum,
+        copy_samples=copy_samples,
         satisfied_order=satisfied_order,
     )
-
-
-# --- consistency cross-check ----------------------------------------------
-
-
-def _float_equal(a: float, b: float) -> bool:
-    if math.isnan(a) and math.isnan(b):
-        return True
-    return a == b
-
-
-def check_causal_consistency(
-    events: Iterable[TraceEvent],
-    causality: Optional[CausalityIndex] = None,
-) -> List[str]:
-    """Mismatches between the causal chains and the derived metrics.
-
-    Empty list on a consistent trace.  The chains must reproduce the
-    collector's arithmetic **bit-exactly**: satisfied queries (each
-    mapping to exactly one delivered chain), the delay sum in emission
-    order, and the delivery/response tallies.  ``caching_overhead`` is a
-    buffer-occupancy sample average, not a causal quantity, so it stays
-    with :func:`repro.obs.derive.derive_metrics`.
-    """
-    events = list(events)
-    if causality is None:
-        causality = build_causality(events)
-    derived = derive_metrics(events)
-    mismatches: List[str] = []
-
-    issued = sum(1 for q in causality.queries.values() if q.created_seen)
-    if issued != derived.queries_issued:
-        mismatches.append(
-            f"queries_issued: chains {issued} != derived {derived.queries_issued}"
-        )
-
-    chain_ids = causality.satisfied_ids()
-    event_ids = [
-        query.query_id
-        for query in causality.queries.values()
-        if query.satisfied_at is not None
-    ]
-    if set(chain_ids) != set(event_ids):
-        missing = sorted(set(event_ids) - set(chain_ids))
-        extra = sorted(set(chain_ids) - set(event_ids))
-        mismatches.append(
-            f"satisfied query sets differ: missing chains for {missing[:5]}, "
-            f"chains without query_satisfied for {extra[:5]}"
-        )
-
-    for query_id, time, _delay in causality.satisfied_order:
-        query = causality.queries[query_id]
-        if query.satisfied_at is not None and not _float_equal(
-            time, query.satisfied_at
-        ):
-            mismatches.append(
-                f"query {query_id}: first chain delivery at {time!r} but "
-                f"query_satisfied at {query.satisfied_at!r}"
-            )
-        delivered = [
-            c
-            for c in query.copies
-            if c.delivered_at is not None
-            and delivery_in_constraint(c.delivered_at, query.expires_at)
-        ]
-        first = [c for c in delivered if _float_equal(c.delivered_at, time)]
-        if query.first_delivery is None or not first:
-            mismatches.append(
-                f"query {query_id}: satisfied but no delivered chain matches"
-            )
-
-    if len(chain_ids) != derived.queries_satisfied:
-        mismatches.append(
-            f"queries_satisfied: chains {len(chain_ids)} != derived "
-            f"{derived.queries_satisfied}"
-        )
-
-    ratio = (len(chain_ids) / issued) if issued else 0.0
-    if not _float_equal(ratio, derived.successful_ratio):
-        mismatches.append(
-            f"successful_ratio: chains {ratio!r} != derived "
-            f"{derived.successful_ratio!r}"
-        )
-
-    delays = [delay for _, _, delay in causality.satisfied_order]
-    mean_delay = (sum(delays) / len(delays)) if delays else float("nan")
-    if not _float_equal(mean_delay, derived.mean_access_delay):
-        mismatches.append(
-            f"mean_access_delay: chains {mean_delay!r} != derived "
-            f"{derived.mean_access_delay!r}"
-        )
-
-    for name, chain_value, derived_value in (
-        ("delivery_events", causality.delivery_events, derived.delivery_events),
-        ("responses_emitted", causality.responses_emitted, derived.responses_emitted),
-        ("data_generated", causality.data_generated, derived.data_generated),
-    ):
-        if chain_value != derived_value:
-            mismatches.append(f"{name}: chains {chain_value} != derived {derived_value}")
-
-    return mismatches
-
-
-def assert_causal_consistency(
-    events: Iterable[TraceEvent],
-    causality: Optional[CausalityIndex] = None,
-) -> None:
-    """Raise :class:`TraceConsistencyError` on any chain/metric mismatch."""
-    mismatches = check_causal_consistency(events, causality)
-    if mismatches:
-        raise TraceConsistencyError(
-            "causal chains disagree with derived metrics:\n  "
-            + "\n  ".join(mismatches)
-        )
 
 
 # --- summaries -------------------------------------------------------------
@@ -740,7 +751,66 @@ def summarize_causality(causality: CausalityIndex) -> Dict[str, object]:
     }
 
 
-# --- drill-down rendering --------------------------------------------------
+# --- rendering ---------------------------------------------------------------
+
+
+def _fmt_delay(delay: Optional[float]) -> str:
+    if delay is None or math.isnan(delay):
+        return "n/a"
+    if delay >= 3600.0:
+        return f"{delay / 3600.0:.2f}h"
+    return f"{delay:.1f}s"
+
+
+def render_audit_report(
+    causality: CausalityIndex,
+    limit: Optional[int] = None,
+    only: Optional[str] = None,
+) -> str:
+    """Human-readable per-query audit of a trace (``repro trace``).
+
+    ``only`` filters by outcome (``satisfied`` / ``expired`` /
+    ``pending``); ``limit`` caps the number of query lines printed.
+    """
+    metrics = causality.metrics()
+    lines = [
+        f"trace: {causality.num_events} events, {metrics.data_generated} data "
+        f"items, {metrics.queries_issued} queries",
+        f"derived: ratio={metrics.successful_ratio:.4f} "
+        f"delay={_fmt_delay(metrics.mean_access_delay)} "
+        f"copies/item={metrics.caching_overhead:.3f} "
+        f"deliveries={metrics.delivery_events} "
+        f"responses={metrics.responses_emitted}",
+        "",
+    ]
+    trace_end = causality.trace_end
+    selected = [
+        (query, query.outcome(trace_end))
+        for query in causality.queries.values()
+        if only is None or query.outcome(trace_end) == only
+    ]
+    for shown, (query, outcome) in enumerate(selected):
+        if limit is not None and shown >= limit:
+            lines.append(f"... ({len(selected) - shown} more queries)")
+            break
+        emitted = sum(
+            1
+            for copy in query.copies
+            if not copy.self_service and copy.emitted_at is not None
+        )
+        delay = query.delay
+        lines.append(
+            f"query {query.query_id} [{outcome}] data={query.data_id} "
+            f"requester={query.requester} "
+            f"observed_by={len({node for _, node in query.observed})} "
+            f"decisions={len(query.decisions)} emitted={emitted} "
+            f"forwards={sum(len(copy.hops) for copy in query.copies)} "
+            f"deliveries={query.deliveries}"
+            + (f" delay={_fmt_delay(delay)}" if delay is not None else "")
+        )
+    return "\n".join(lines)
+
+
 
 
 def _rel(time: Optional[float], anchor: Optional[float]) -> str:
@@ -778,6 +848,10 @@ def render_query_timeline(
             f"({yes} respond / {len(query.decisions) - yes} decline)"
         )
     satisfying = query.satisfying_copy
+    delay = query.delay
+    satisfied_marker = (
+        f"  <- satisfied (delay {delay:.1f}s)" if delay is not None else "  <- satisfied"
+    )
     for index, copy in enumerate(query.copies):
         tag = " (self-service)" if copy.self_service else ""
         seq = f" seq={copy.sequence}" if copy.sequence is not None else ""
@@ -801,14 +875,8 @@ def render_query_timeline(
                 if previous is not None
                 else ""
             )
-            marker = ""
             if copy is satisfying:
-                delay = query.delay
-                marker = (
-                    f"  <- satisfied (delay {delay:.1f}s)"
-                    if delay is not None
-                    else "  <- satisfied"
-                )
+                marker = satisfied_marker
             elif delivery_in_constraint(copy.delivered_at, query.expires_at):
                 marker = "  (duplicate delivery)"
             else:
@@ -818,13 +886,7 @@ def render_query_timeline(
                 f"{copy.delivered_by} -> {query.requester} delivered{delta}{marker}"
             )
         elif copy.self_service and copy is satisfying:
-            delay = query.delay
-            marker = (
-                f"  <- satisfied (delay {delay:.1f}s)"
-                if delay is not None
-                else "  <- satisfied"
-            )
-            lines.append(f"    delivered on the spot{marker}")
+            lines.append(f"    delivered on the spot{satisfied_marker}")
         elif copy.break_reason:
             lines.append(f"    chain broken: {copy.break_reason}")
         elif copy.delivered_at is None:

@@ -1,10 +1,11 @@
 """``repro diagnose`` — causal-chain + model-fidelity diagnosis of a run.
 
 Thin orchestration over :mod:`repro.obs.causality` and
-:mod:`repro.obs.fidelity`: build the causal index, cross-check it
-bit-exactly against the derived metrics, assess model fidelity, and
-render the result as Markdown (for terminals and ``repro report``
-embedding) or a JSON document carrying the run's provenance stamp.
+:mod:`repro.obs.fidelity`: summarise the causal index, list the queries
+whose ``query_satisfied`` event disagrees with their delivery chain,
+assess model fidelity, and render the result as Markdown (for terminals
+and ``repro report`` embedding) or a JSON document carrying the run's
+provenance stamp.
 
 Consistency mismatches and fidelity threshold violations both land in
 :attr:`Diagnosis.warnings`; ``repro diagnose --strict`` turns a
@@ -16,15 +17,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional
+from typing import Any, Dict, List, Optional
 
-from repro.obs.causality import (
-    CausalityIndex,
-    build_causality,
-    check_causal_consistency,
-    summarize_causality,
-)
-from repro.obs.events import TraceEvent
+from repro.obs.causality import CausalityIndex, summarize_causality
 from repro.obs.fidelity import (
     Calibration,
     FidelityReport,
@@ -45,7 +40,6 @@ __all__ = [
 class Diagnosis:
     """Everything one diagnose pass established about a run."""
 
-    num_events: int
     causality: CausalityIndex
     summary: Dict[str, Any]
     consistency: List[str]
@@ -53,23 +47,24 @@ class Diagnosis:
     warnings: List[str] = field(default_factory=list)
     provenance: Optional[Dict[str, Any]] = None
 
+    @property
+    def num_events(self) -> int:
+        return self.causality.num_events
+
 
 def run_diagnosis(
-    events: Iterable[TraceEvent],
+    causality: CausalityIndex,
     contact_trace: Optional[ContactTrace] = None,
     thresholds: Optional[FidelityThresholds] = None,
     provenance: Optional[Dict[str, Any]] = None,
 ) -> Diagnosis:
-    """Diagnose a trace: causal chains, consistency, model fidelity."""
-    events = list(events)
-    causality = build_causality(events)
-    consistency = check_causal_consistency(events, causality)
+    """Diagnose a trace's index: causal chains, consistency, model fidelity."""
+    consistency = causality.mismatches()
     fidelity = assess_fidelity(
-        events, causality, contact_trace=contact_trace, thresholds=thresholds
+        causality, contact_trace=contact_trace, thresholds=thresholds
     )
     warnings = [f"consistency: {m}" for m in consistency] + list(fidelity.warnings)
     return Diagnosis(
-        num_events=len(events),
         causality=causality,
         summary=summarize_causality(causality),
         consistency=consistency,
@@ -132,8 +127,8 @@ def render_diagnosis(diagnosis: Diagnosis, level: int = 1) -> str:
         lines += [f"- MISMATCH: {m}" for m in diagnosis.consistency]
     else:
         lines.append(
-            f"- OK: causal chains reproduce the derived metrics bit-exactly "
-            f"over {diagnosis.num_events} events"
+            f"- OK: every query_satisfied event matches its first "
+            f"in-constraint delivery chain over {diagnosis.num_events} events"
         )
     lines.append("")
 

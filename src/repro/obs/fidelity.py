@@ -34,14 +34,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.mathutils.poisson import RateEstimator, poisson_probability_at_least_one
-from repro.obs.causality import CausalityIndex
-from repro.obs.derive import delivery_in_constraint
-from repro.obs.events import TraceEvent, TraceEventKind
+from repro.obs.causality import CausalityIndex, delivery_in_constraint
 
 if TYPE_CHECKING:  # the graph/traces layers import repro.obs.profile at
     # init time, so importing them here at module scope would be circular
@@ -223,9 +221,7 @@ def response_calibration(
 
 
 def popularity_calibration(
-    events: Iterable[TraceEvent],
-    causality: CausalityIndex,
-    num_bins: int = 10,
+    causality: CausalityIndex, num_bins: int = 10
 ) -> Optional[Calibration]:
     """Eq. 5–6 popularity estimate vs realized future demand.
 
@@ -239,9 +235,9 @@ def popularity_calibration(
     skipped.
     """
     requests: Dict[int, List[float]] = {}
-    for event in events:
-        if event.kind is TraceEventKind.QUERY_CREATED and event.data_id is not None:
-            requests.setdefault(event.data_id, []).append(event.time)
+    for query in causality.queries.values():
+        if query.created_seen and query.data_id is not None:
+            requests.setdefault(query.data_id, []).append(query.created_at)
     pairs: List[Tuple[float, bool]] = []
     for data_id, times in requests.items():
         tree = causality.pushes.get(data_id)
@@ -345,7 +341,6 @@ class FidelityReport:
 
 
 def assess_fidelity(
-    events: Iterable[TraceEvent],
     causality: CausalityIndex,
     contact_trace: Optional[ContactTrace] = None,
     thresholds: Optional[FidelityThresholds] = None,
@@ -354,9 +349,8 @@ def assess_fidelity(
 
     *contact_trace* unlocks the inter-contact and delivery-calibration
     sections (a bare ``trace.jsonl`` has no mobility information); the
-    other sections need only the event stream.
+    other sections need only the causality index.
     """
-    events = list(events)
     gates = thresholds if thresholds is not None else FidelityThresholds()
     report = FidelityReport(thresholds=gates)
 
@@ -366,7 +360,7 @@ def assess_fidelity(
         report.intercontact = exponential_fit_report(contact_trace)
         report.delivery = delivery_calibration(causality, contact_trace)
     report.response = response_calibration(causality)
-    report.popularity = popularity_calibration(events, causality)
+    report.popularity = popularity_calibration(causality)
     report.load = ncl_load_balance(causality)
 
     inter = report.intercontact

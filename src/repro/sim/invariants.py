@@ -21,7 +21,7 @@ from repro.sim.node import Node
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.metrics.results import SimulationResult
-    from repro.obs.derive import DerivedMetrics
+    from repro.obs.causality import CausalityIndex
 
 __all__ = [
     "check_node",
@@ -124,16 +124,19 @@ def _floats_equal(a: float, b: float) -> bool:
 
 
 def check_trace_consistency(
-    result: "SimulationResult", derived: "DerivedMetrics"
+    result: "SimulationResult", causality: "CausalityIndex"
 ) -> None:
-    """Cross-check counter-based metrics against the trace-derived ones.
+    """Cross-check the counters against the trace's delivery chains.
 
-    The trace hooks replay the collector's arithmetic in emission order,
-    so a consistent run agrees **exactly** (floats included); any
-    mismatch means an event was double-counted, dropped, or emitted from
-    the wrong hook.  Raises :class:`SimulationError` naming the first
-    divergent metric.
+    :meth:`~repro.obs.causality.CausalityIndex.metrics` reads the
+    metrics from the chains in the collector's summation order, so a
+    consistent run agrees **exactly** (floats included); any mismatch
+    means an event was double-counted, dropped, or emitted from the
+    wrong hook.  Raises :class:`SimulationError` naming the first
+    divergent metric, or listing every query whose ``query_satisfied``
+    event disagrees with its chain.
     """
+    derived = causality.metrics()
     checks = (
         ("queries_issued", result.queries_issued, derived.queries_issued),
         ("queries_satisfied", result.queries_satisfied, derived.queries_satisfied),
@@ -159,3 +162,9 @@ def check_trace_consistency(
                 f"trace/counter divergence on {name}: "
                 f"counters say {counted!r}, trace derives {traced!r}"
             )
+    mismatches = causality.mismatches()
+    if mismatches:
+        raise SimulationError(
+            "query_satisfied events disagree with the delivery chains:\n  "
+            + "\n  ".join(mismatches)
+        )

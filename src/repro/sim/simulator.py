@@ -29,7 +29,7 @@ from repro.errors import ConfigurationError
 from repro.graph.estimator import OnlineContactGraphEstimator
 from repro.metrics.collector import MetricsCollector
 from repro.metrics.results import SimulationResult
-from repro.obs.derive import derive_metrics
+from repro.obs.causality import build_causality
 from repro.obs.events import TraceEvent, TraceEventKind
 from repro.obs.memory import NULL_MEMORY_MONITOR, MemoryMonitor, MemorySample, deep_sizeof
 from repro.obs.primitives import MetricsRegistry
@@ -783,9 +783,9 @@ class Simulator:
     def _finalize(self) -> SimulationResult:
         result = self.metrics.finalize(name=self.scheme.name, seed=self.config.seed)
         if isinstance(self.recorder, MemoryRecorder):
-            # In-memory traces are cheap to re-derive, so every traced
-            # run cross-audits its own accounting (tentpole invariant).
-            check_trace_consistency(result, derive_metrics(self.recorder.events))
+            # In-memory traces are cheap to replay, so every traced run
+            # checks its counters against its own delivery chains.
+            check_trace_consistency(result, build_causality(self.recorder.events))
         if self._owns_recorder:
             self.recorder.close()
         return result

@@ -1,14 +1,16 @@
-"""Causal reconstruction: push trees, response DAGs, bit-exact cross-check.
+"""Causal reconstruction: push trees, response DAGs, chain-read metrics.
 
 Unit tests drive :func:`build_causality` on hand-built event streams
 where the expected chains are obvious; the acceptance tests prove the
 headline contract on real runs — every satisfied query maps to exactly
-one delivered chain and the chain arithmetic reproduces the derived
-metrics bit for bit — including across the churn scenario, where chains
-crossing ``node.failed``/``node.left``/``cache.migrated`` must terminate
-cleanly with a break reason instead of dangling.
+one delivered chain, the chain arithmetic reproduces the collector's
+metrics bit for bit, and every ``query_satisfied`` event matches its
+chain — including across the churn scenario, where chains crossing
+``node.failed``/``node.left``/``cache.migrated`` must terminate cleanly
+with a break reason instead of dangling.
 """
 
+import dataclasses
 import json
 import math
 import os
@@ -16,20 +18,18 @@ import os
 import pytest
 
 from repro.caching import IntentionalCaching, IntentionalConfig
-from repro.errors import TraceConsistencyError
+from repro.errors import SimulationError
 from repro.obs import (
     MemoryRecorder,
-    assert_causal_consistency,
     build_causality,
-    check_causal_consistency,
     delivery_in_constraint,
-    derive_metrics,
     read_events,
     render_push_timeline,
     render_query_timeline,
     summarize_causality,
 )
 from repro.obs.events import TraceEvent, TraceEventKind
+from repro.sim.invariants import check_trace_consistency
 from repro.sim.simulator import Simulator, SimulatorConfig
 from repro.traces.synthetic import SyntheticTraceConfig, generate_synthetic_trace
 from repro.units import DAY, HOUR, MEGABIT
@@ -132,7 +132,7 @@ class TestResponseReconstruction:
         ]
         causality = build_causality(events)
         assert causality.queries[1].first_delivery == (10.0, 0)
-        assert check_causal_consistency(events, causality) == []
+        assert causality.mismatches() == []
 
     def test_self_service_synthesizes_zero_hop_copy(self):
         K = TraceEventKind
@@ -153,7 +153,7 @@ class TestResponseReconstruction:
         # self-service is not a RESPONSE_EMITTED/DELIVERED event
         assert causality.responses_emitted == 0
         assert causality.delivery_events == 0
-        assert check_causal_consistency(events, causality) == []
+        assert causality.mismatches() == []
         assert summarize_causality(causality)["self_service_deliveries"] == 1
 
     def test_sequence_less_trace_degrades_to_custody_matching(self):
@@ -186,18 +186,30 @@ class TestResponseReconstruction:
 
     def test_truncated_trace_creates_orphan_copy(self):
         """A delivery whose emission predates the trace start still
-        attaches — as an orphan copy, not a crash or silent drop."""
+        attaches — as an orphan copy, not a crash or silent drop.  An
+        orphan with no ``responder`` attr is attributed to its first
+        carrier, node 0 included."""
         K = TraceEventKind
         events = [
             _ev(0.0, K.QUERY_CREATED, node=0, data_id=1, query_id=1,
                 time_constraint=100.0),
             _ev(5.0, K.RESPONSE_DELIVERED, node=0, query_id=1, carrier=9,
                 responder=9, sequence=44),
+            _ev(0.0, K.QUERY_CREATED, node=3, data_id=1, query_id=2,
+                time_constraint=100.0),
+            _ev(6.0, K.RESPONSE_FORWARDED, node=5, query_id=2, carrier=0,
+                sequence=45),
         ]
-        query = build_causality(events).queries[1]
+        queries = build_causality(events).queries
+        query = queries[1]
         assert len(query.copies) == 1
         assert query.copies[0].orphan
         assert query.copies[0].delivered_at == 5.0
+
+        relayed = queries[2].copies[0]
+        assert relayed.orphan
+        assert relayed.hops[0].carrier == 0
+        assert relayed.responder == 0
 
 
 class TestPushReconstruction:
@@ -271,24 +283,56 @@ class TestPushReconstruction:
 
 class TestConsistencyCheck:
     def test_detects_forged_satisfaction(self):
-        """A query_satisfied with no matching delivered chain must fail
-        the cross-check, not pass silently."""
+        """A query_satisfied with no matching delivered chain is an
+        inconsistency, not a satisfied query."""
         K = TraceEventKind
         events = [
             _ev(0.0, K.QUERY_CREATED, node=0, data_id=1, query_id=1,
                 time_constraint=100.0),
             _ev(5.0, K.QUERY_SATISFIED, node=0, query_id=1, created_at=0.0),
         ]
-        mismatches = check_causal_consistency(events)
-        assert mismatches
-        assert any("satisfied" in m for m in mismatches)
-        with pytest.raises(TraceConsistencyError):
-            assert_causal_consistency(events)
+        causality = build_causality(events)
+        assert causality.mismatches() == [
+            "query 1: query_satisfied at 5.0, "
+            "first in-constraint delivery chain at None"
+        ]
+        assert causality.metrics().queries_satisfied == 0
+
+    def test_detects_chain_without_satisfaction(self):
+        """The converse: a copy delivered in time with no query_satisfied
+        from the collector is listed too."""
+        K = TraceEventKind
+        events = [
+            _ev(0.0, K.QUERY_CREATED, node=0, data_id=1, query_id=1,
+                time_constraint=100.0),
+            _ev(1.0, K.RESPONSE_EMITTED, node=2, query_id=1, sequence=1),
+            _ev(5.0, K.RESPONSE_DELIVERED, node=0, query_id=1, carrier=2,
+                responder=2, sequence=1),
+        ]
+        causality = build_causality(events)
+        assert causality.mismatches() == [
+            "query 1: query_satisfied at None, "
+            "first in-constraint delivery chain at 5.0"
+        ]
+        assert causality.metrics().queries_satisfied == 1
+
+    def test_detects_satisfaction_at_another_time(self):
+        K = TraceEventKind
+        events = _query_stream() + [
+            _ev(0.0, K.QUERY_CREATED, node=0, data_id=1, query_id=8,
+                time_constraint=100.0),
+            _ev(1.0, K.RESPONSE_EMITTED, node=2, query_id=8, sequence=3),
+            _ev(5.0, K.RESPONSE_DELIVERED, node=0, query_id=8, carrier=2,
+                responder=2, sequence=3),
+            _ev(7.0, K.QUERY_SATISFIED, node=0, query_id=8, created_at=0.0),
+        ]
+        assert build_causality(events).mismatches() == [
+            "query 8: query_satisfied at 7.0, "
+            "first in-constraint delivery chain at 5.0"
+        ]
 
     def test_clean_stream_has_no_mismatches(self):
-        events = _query_stream()
-        assert check_causal_consistency(events) == []
-        assert_causal_consistency(events)
+        assert build_causality(_query_stream()).mismatches() == []
 
 
 @pytest.fixture(scope="module")
@@ -324,7 +368,14 @@ class TestAcceptance:
         satisfied query maps to exactly one satisfying delivered chain."""
         events, result = synthetic_run
         causality = build_causality(events)
-        assert check_causal_consistency(events, causality) == []
+        assert causality.mismatches() == []
+        check_trace_consistency(result, causality)
+        derived = causality.metrics()
+        assert derived.delivery_events == result.responses_delivered
+        assert derived.data_generated == result.data_generated
+        assert derived.duplicate_deliveries == result.duplicate_deliveries
+        assert derived.late_deliveries == result.late_deliveries
+        assert derived.caching_overhead == result.caching_overhead
 
         satisfied = causality.satisfied_ids()
         assert len(satisfied) == result.queries_satisfied
@@ -351,13 +402,31 @@ class TestAcceptance:
         else:
             assert mean_delay == result.mean_access_delay
 
-    def test_consistency_matches_derive_metrics_tallies(self, synthetic_run):
-        events, _ = synthetic_run
+    def test_self_check_reads_the_delivery_chains(self, synthetic_run):
+        """Moving one satisfying delivery 1 s later, still inside its
+        constraint, leaves every query_satisfied event untouched but
+        shifts the chain's delay: the self-check must catch it."""
+        events, result = synthetic_run
         causality = build_causality(events)
-        derived = derive_metrics(events)
-        assert causality.delivery_events == derived.delivery_events
-        assert causality.responses_emitted == derived.responses_emitted
-        assert causality.data_generated == derived.data_generated
+        for query_id, time, _ in causality.satisfied_order:
+            query = causality.queries[query_id]
+            copy = query.satisfying_copy
+            if not copy.self_service and time + 1.0 <= query.expires_at:
+                break
+        else:
+            pytest.fail("no relayed delivery with a second of slack")
+        position = next(
+            i
+            for i, event in enumerate(events)
+            if event.kind is TraceEventKind.RESPONSE_DELIVERED
+            and event.query_id == query_id
+            and event.time == time
+            and event.attrs.get("sequence") == copy.sequence
+        )
+        moved = list(events)
+        moved[position] = dataclasses.replace(events[position], time=time + 1.0)
+        with pytest.raises(SimulationError, match="mean_access_delay"):
+            check_trace_consistency(result, build_causality(moved))
 
     def test_timeline_renderers_cover_every_query_and_data_item(
         self, synthetic_run
@@ -394,7 +463,7 @@ class TestChurnScenario:
     def test_churn_chains_break_cleanly_and_stay_consistent(self, churn_events):
         causality = build_causality(churn_events)
         # the cross-check holds even across failures/departures/migration
-        assert check_causal_consistency(churn_events, causality) == []
+        assert causality.mismatches() == []
 
         chains = [
             chain

@@ -14,7 +14,7 @@ import pytest
 
 from repro.__main__ import main
 from repro.caching import IntentionalCaching, IntentionalConfig
-from repro.obs import MemoryRecorder, run_diagnosis
+from repro.obs import MemoryRecorder, build_causality, run_diagnosis
 from repro.obs.diagnose import diagnosis_to_dict, render_diagnosis
 from repro.sim.simulator import Simulator, SimulatorConfig
 from repro.traces.contact import Contact, ContactTrace
@@ -66,7 +66,7 @@ def _pareto_trace(seed=42, num_nodes=8, contacts_per_pair=60, scale=600.0):
 class TestRunDiagnosis:
     def test_healthy_run_has_no_warnings(self, synthetic_run):
         trace, events = synthetic_run
-        diagnosis = run_diagnosis(events, contact_trace=trace)
+        diagnosis = run_diagnosis(build_causality(events), contact_trace=trace)
         assert diagnosis.consistency == []
         assert diagnosis.warnings == []
         assert diagnosis.num_events == len(events)
@@ -91,20 +91,24 @@ class TestRunDiagnosis:
             SimulatorConfig(seed=3),
             recorder=recorder,
         ).run()
-        diagnosis = run_diagnosis(recorder.events, contact_trace=trace)
+        diagnosis = run_diagnosis(
+            build_causality(recorder.events), contact_trace=trace
+        )
         assert diagnosis.consistency == []  # chains still reconcile
         assert any("inter-contact" in w for w in diagnosis.warnings)
 
     def test_render_covers_every_section(self, synthetic_run):
         trace, events = synthetic_run
         diagnosis = run_diagnosis(
-            events, contact_trace=trace, provenance={"config_hash": "cafe" * 8}
+            build_causality(events),
+            contact_trace=trace,
+            provenance={"config_hash": "cafe" * 8},
         )
         text = render_diagnosis(diagnosis)
         assert text.startswith("# Run diagnosis")
         assert "_config `cafecafecafe`_" in text
         assert "## Causal chains" in text
-        assert "- OK: causal chains reproduce the derived metrics" in text
+        assert "- OK: every query_satisfied event matches its first" in text
         assert "inter-contact:" in text
         assert "delivery calibration" in text
         assert "response calibration" in text
@@ -116,7 +120,7 @@ class TestRunDiagnosis:
 
     def test_to_dict_round_trips_through_json(self, synthetic_run):
         trace, events = synthetic_run
-        diagnosis = run_diagnosis(events, contact_trace=trace)
+        diagnosis = run_diagnosis(build_causality(events), contact_trace=trace)
         record = json.loads(json.dumps(diagnosis_to_dict(diagnosis)))
         assert record["consistency"]["ok"] is True
         assert record["num_events"] == len(events)
@@ -151,7 +155,7 @@ class TestDiagnoseCLI:
         out = capsys.readouterr().out
         assert "# Run diagnosis" in out
         assert "_config `" in out  # provenance stamp from the manifest
-        assert "- OK: causal chains reproduce the derived metrics" in out
+        assert "- OK: every query_satisfied event matches its first" in out
         # the manifest rebuilt the contact trace: mobility sections live
         assert "inter-contact:" in out and "pairs fitted" in out
 

@@ -114,7 +114,7 @@ class TestSectionBuilders:
             # push the trace end past the item's expiry (not censored)
             _ev(150.0, K.SAMPLE, node=0),
         ]
-        calibration = popularity_calibration(events, build_causality(events))
+        calibration = popularity_calibration(build_causality(events))
         # rate needs >= 2 distinct times: scored after the 2nd and 3rd
         # requests; the co-batch request at t=20 realizes the 2nd's
         # prediction, nothing follows the 3rd
@@ -134,7 +134,7 @@ class TestSectionBuilders:
                 time_constraint=10.0),
         ]
         # trace ends at t=20 < expires_at=1000: outcome unknowable
-        assert popularity_calibration(events, build_causality(events)) is None
+        assert popularity_calibration(build_causality(events)) is None
 
     def test_ncl_load_balance_counts_completed_chains(self):
         K = TraceEventKind
@@ -240,7 +240,7 @@ class TestAcceptance:
         warnings at the documented default thresholds."""
         trace, events = synthetic_run
         causality = build_causality(events)
-        report = assess_fidelity(events, causality, contact_trace=trace)
+        report = assess_fidelity(causality, contact_trace=trace)
         assert report.warnings == []
         assert report.intercontact is not None
         assert report.intercontact.median_ks < 0.25
@@ -260,16 +260,14 @@ class TestAcceptance:
             max_calibration_gap=0.0,
             min_samples=1,
         )
-        report = assess_fidelity(
-            events, causality, contact_trace=trace, thresholds=tight
-        )
+        report = assess_fidelity(causality, contact_trace=trace, thresholds=tight)
         assert any("inter-contact" in w for w in report.warnings)
         assert any("delivery" in w for w in report.warnings)
 
     def test_sections_degrade_without_contact_trace(self, synthetic_run):
         _, events = synthetic_run
         causality = build_causality(events)
-        report = assess_fidelity(events, causality, contact_trace=None)
+        report = assess_fidelity(causality, contact_trace=None)
         assert report.intercontact is None
         assert report.delivery is None
         assert report.response is not None

@@ -2,9 +2,10 @@
 
 The contract under test: on a seeded ``run_comparison``-style scenario
 (every scheme × every seed on one trace), the successful ratio, access
-delay, and caching overhead derived purely from the lifecycle trace
-match the live counter metrics **exactly** — bit for bit, not
-approximately — and recording the trace does not perturb the run.
+delay, and caching overhead that ``build_causality(events).metrics()``
+reads from the lifecycle trace's delivery chains match the live counter
+metrics **exactly** — bit for bit, not approximately — and recording
+the trace does not perturb the run.
 """
 
 import dataclasses
@@ -22,7 +23,7 @@ from repro.caching import (
 )
 from repro.experiments.runner import run_comparison
 from repro.metrics.results import aggregate_results
-from repro.obs import MemoryRecorder, derive_metrics, read_events
+from repro.obs import MemoryRecorder, build_causality, read_events
 from repro.sim.simulator import Simulator, SimulatorConfig
 from repro.traces.synthetic import SyntheticTraceConfig, generate_synthetic_trace
 from repro.units import DAY, HOUR, MEGABIT
@@ -95,7 +96,7 @@ class TestTraceCounterConsistency:
                     recorder=recorder,
                 ).run()  # run() itself cross-checks via check_trace_consistency
                 per_seed.append(result)
-                derived = derive_metrics(recorder.events)
+                derived = build_causality(recorder.events).metrics()
                 assert derived.queries_issued == result.queries_issued, name
                 assert derived.queries_satisfied == result.queries_satisfied, name
                 assert derived.successful_ratio == result.successful_ratio, name
@@ -125,8 +126,8 @@ class TestTraceCounterConsistency:
             SimulatorConfig(seed=5),
             recorder=recorder,
         ).run()
-        from_disk = derive_metrics(read_events(path))
-        from_memory = derive_metrics(recorder.events)
+        from_disk = build_causality(read_events(path)).metrics()
+        from_memory = build_causality(recorder.events).metrics()
         assert from_disk == from_memory
         assert from_disk.successful_ratio == result.successful_ratio
         assert _float_eq(from_disk.mean_access_delay, result.mean_access_delay)

@@ -1,18 +1,22 @@
 """Property-based tests for trace generation and statistics.
 
-Also home of the outcome-classification property (satellite of the
-diagnose layer): the audit path (:class:`repro.obs.derive.QueryAudit`)
-and the causal path (:class:`repro.obs.causality.QueryCausality`) both
-classify through the shared :func:`repro.obs.derive.classify_outcome` /
-:func:`delivery_in_constraint` predicates, so boundary deliveries and
-truncated traces can never classify differently between the two.
+Also home of the outcome-classification property: a query's outcome
+is read from its delivery chain (:class:`repro.obs.causality.
+QueryCausality`) through the shared :func:`classify_outcome` /
+:func:`delivery_in_constraint` predicates — the collector's own boundary
+rule — and the ``repro trace`` audit prints that same outcome, so
+boundary deliveries and truncated traces classify one way everywhere.
 """
 
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
-from repro.obs import build_causality, delivery_in_constraint
-from repro.obs.derive import audit_queries, classify_outcome
+from repro.obs import (
+    build_causality,
+    classify_outcome,
+    delivery_in_constraint,
+    render_audit_report,
+)
 from repro.obs.events import TraceEvent, TraceEventKind
 from repro.traces.stats import summarize_trace
 from repro.traces.synthetic import SyntheticTraceConfig, generate_synthetic_trace
@@ -128,21 +132,24 @@ def _query_events(created, constraint, delivery_offset, trail):
 def test_audit_and_causality_outcomes_never_diverge(
     created, constraint, delivery_offset, trail
 ):
-    """Boundary deliveries and truncated traces classify identically
-    through the audit path and the causal-chain path."""
+    """Boundary deliveries and truncated traces classify through the
+    shared predicates, and the audit prints the chain's outcome."""
     events = _query_events(created, constraint, delivery_offset, trail)
     trace_end = max(e.time for e in events)
-    audit = audit_queries(events)[1]
     causality = build_causality(events)
     query = causality.queries[1]
     assert causality.trace_end == trace_end
-    assert query.outcome(trace_end) == audit.outcome(trace_end)
-    # the shared predicate is the single source of the satisfied verdict
+    expires_at = created + constraint
+    satisfied_at = None
     if delivery_offset is not None:
-        satisfied = delivery_in_constraint(
-            created + constraint + delivery_offset, created + constraint
-        )
-        assert (query.outcome(trace_end) == "satisfied") == satisfied
+        delivered_at = expires_at + delivery_offset
+        if delivery_in_constraint(delivered_at, expires_at):
+            satisfied_at = delivered_at
+    outcome = query.outcome(trace_end)
+    assert outcome == classify_outcome(satisfied_at, expires_at, trace_end)
+    # the collector's query_satisfied and the chain always agree here
+    assert causality.mismatches() == []
+    assert f"query 1 [{outcome}]" in render_audit_report(causality)
 
 
 def test_boundary_delivery_is_satisfied_in_both_layers():
@@ -150,9 +157,10 @@ def test_boundary_delivery_is_satisfied_in_both_layers():
     never ``<`` — in the audit, the chains, and the bare predicate."""
     events = _query_events(10.0, 5.0, 0.0, trail=1.0)
     trace_end = max(e.time for e in events)
+    causality = build_causality(events)
     assert delivery_in_constraint(15.0, 15.0)
-    assert audit_queries(events)[1].outcome(trace_end) == "satisfied"
-    assert build_causality(events).queries[1].outcome(trace_end) == "satisfied"
+    assert "query 1 [satisfied]" in render_audit_report(causality)
+    assert causality.queries[1].outcome(trace_end) == "satisfied"
 
 
 def test_truncated_trace_is_pending_in_both_layers():
@@ -161,6 +169,7 @@ def test_truncated_trace_is_pending_in_both_layers():
     events = _query_events(0.0, 100.0, None, trail=0.0)
     trace_end = max(e.time for e in events)
     assert trace_end < 100.0
+    causality = build_causality(events)
     assert classify_outcome(None, 100.0, trace_end) == "pending"
-    assert audit_queries(events)[1].outcome(trace_end) == "pending"
-    assert build_causality(events).queries[1].outcome(trace_end) == "pending"
+    assert "query 1 [pending]" in render_audit_report(causality)
+    assert causality.queries[1].outcome(trace_end) == "pending"
