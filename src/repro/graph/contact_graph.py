@@ -53,7 +53,10 @@ class ContactGraph:
       (adjacency caching, router invalidation).
     * :meth:`fingerprint` — a lazy content digest of the rates, so two
       snapshots with identical rates share cached path computations
-      regardless of which instance produced them.
+      regardless of which instance produced them.  Snapshots share
+      rates only when built at the same simulated instant from the same
+      contacts: each one divides the contact counts by a new elapsed
+      time.
 
     Parameters
     ----------
@@ -130,15 +133,12 @@ class ContactGraph:
         cls,
         trace: ContactTrace,
         until: Optional[float] = None,
-        min_contacts: int = 1,
         sparse: Optional[bool] = None,
     ) -> "ContactGraph":
         """Time-averaged rates from cumulative contact counts (Sec. III-B).
 
         λᵢⱼ = (number of contacts of the pair up to *until*) / elapsed
-        time.  Pairs with fewer than *min_contacts* observations get rate
-        zero — a single sighting over a long trace is noise, not a usable
-        Poisson estimate.
+        time.
         """
         horizon = trace.end_time if until is None else float(until)
         elapsed = horizon - trace.start_time
@@ -151,9 +151,7 @@ class ContactGraph:
                 break
             counts[contact.pair] = counts.get(contact.pair, 0) + 1
         graph.set_edge_rates(
-            (a, b, count / elapsed)
-            for (a, b), count in counts.items()
-            if count >= min_contacts
+            (a, b, count / elapsed) for (a, b), count in counts.items()
         )
         return graph
 
@@ -278,9 +276,11 @@ class ContactGraph:
         """Content digest of the rates (lazy, cached until mutation).
 
         Two graphs of the same storage mode with identical rates share a
-        fingerprint, which is what the path-weight cache keys on: the
-        simulator's periodic GRAPH_REFRESH snapshots are distinct
-        instances but often carry unchanged rates.  Dense graphs hash
+        fingerprint, which is what the path-weight cache keys on: two
+        snapshots built at the same simulated instant (a churn-triggered
+        GRAPH_REFRESH landing on a periodic one, or the runs of several
+        schemes over one trace) are distinct instances with the same
+        rates.  Dense graphs hash
         the matrix bytes (the historical digest, so pre-existing cache
         behaviour is unchanged); sparse graphs hash the sorted COO
         triplets — O(edges), never O(N²).

@@ -6,9 +6,9 @@ implements that estimator for the whole network: contacts are recorded as
 they occur, and a :class:`ContactGraph` snapshot can be taken at any
 simulation time.
 
-Snapshots are cached and refreshed lazily at a configurable period, since
-path computations consume graph snapshots far more often than rates
-meaningfully change (the paper argues rates are stable long-term).
+Every snapshot is built from scratch: its rates divide each pair's
+contact count by the time elapsed since the origin, so a snapshot taken
+at a later time rescales every rate.
 """
 
 from __future__ import annotations
@@ -32,12 +32,6 @@ class OnlineContactGraphEstimator:
     origin:
         Network start time; the denominator of every rate estimate is
         (now − origin).
-    min_contacts:
-        Pairs observed fewer times than this report rate 0 (noise guard).
-    snapshot_period:
-        Minimum simulated-time spacing between freshly built
-        :class:`ContactGraph` snapshots; requests inside the window are
-        served from cache.  ``0`` disables caching.
     sparse:
         Storage mode of the snapshot graphs, forwarded to
         :class:`ContactGraph`: ``True``/``False`` force it, ``None``
@@ -50,26 +44,15 @@ class OnlineContactGraphEstimator:
         self,
         num_nodes: int,
         origin: float = 0.0,
-        min_contacts: int = 1,
-        snapshot_period: float = 0.0,
         sparse: Optional[bool] = None,
     ):
         if num_nodes < 1:
             raise ConfigurationError("estimator needs at least one node")
-        if min_contacts < 1:
-            raise ConfigurationError("min_contacts must be >= 1")
-        if snapshot_period < 0:
-            raise ConfigurationError("snapshot_period must be non-negative")
         self._num_nodes = int(num_nodes)
         self._origin = float(origin)
-        self._min_contacts = int(min_contacts)
-        self._snapshot_period = float(snapshot_period)
         self._sparse = sparse
         self._estimators: Dict[Tuple[int, int], RateEstimator] = {}
         self._inactive: Set[int] = set()
-        self._cached_graph: Optional[ContactGraph] = None
-        self._cached_at: float = float("-inf")
-        self._dirty = True
 
     @property
     def num_nodes(self) -> int:
@@ -91,29 +74,20 @@ class OnlineContactGraphEstimator:
             estimator = RateEstimator(origin=self._origin, anchor="origin")
             self._estimators[pair] = estimator
         estimator.record(timestamp)
-        self._dirty = True
 
     def set_node_active(self, node: int, active: bool) -> None:
         """Mark *node* as (in)active; inactive nodes report rate 0.
 
         Churn and failure events (:mod:`repro.sim.dynamics`) call this so
-        the next snapshot reflects the changed topology.  A topology
-        change must be visible immediately — it invalidates the
-        period-cached snapshot rather than waiting out ``snapshot_period``
-        (rate drift within a period is benign; a vanished node is not).
+        the next snapshot, built in the same instant, reflects the
+        changed topology.
         """
         if not 0 <= node < self._num_nodes:
             raise ConfigurationError(f"node id out of range: {node}")
-        changed = (node in self._inactive) == active
-        if not changed:
-            return
         if active:
             self._inactive.discard(node)
         else:
             self._inactive.add(node)
-        self._dirty = True
-        self._cached_graph = None
-        self._cached_at = float("-inf")
 
     def is_node_active(self, node: int) -> bool:
         return node not in self._inactive
@@ -132,53 +106,21 @@ class OnlineContactGraphEstimator:
             return 0.0
         pair = (min(i, j), max(i, j))
         estimator = self._estimators.get(pair)
-        if estimator is None or estimator.count < self._min_contacts:
+        if estimator is None:
             return 0.0
         return estimator.rate(now)
 
-    def snapshot(self, now: float, force: bool = False) -> ContactGraph:
-        """A :class:`ContactGraph` of the rate estimates at time *now*.
-
-        Served from cache if the previous snapshot is newer than
-        ``snapshot_period`` and no recording policy forces a rebuild.
-        """
-        fresh_enough = (
-            self._cached_graph is not None
-            and self._snapshot_period > 0
-            and now - self._cached_at < self._snapshot_period
-        )
-        if fresh_enough and not force:
-            return self._cached_graph  # type: ignore[return-value]
-        if not self._dirty and self._cached_graph is not None and not force:
-            # No new contacts: only the denominators moved; rebuilding
-            # rescales all rates uniformly, which leaves every path and
-            # metric *ranking* unchanged, so the cache stays valid for
-            # ranking purposes unless the caller forces a rebuild.
-            if self._snapshot_period > 0:
-                return self._cached_graph
+    def snapshot(self, now: float) -> ContactGraph:
+        """A fresh :class:`ContactGraph` of the rate estimates at time *now*."""
         graph = ContactGraph(self._num_nodes, sparse=self._sparse)
         elapsed = now - self._origin
         if elapsed > 0:
             graph.set_edge_rates(
                 (i, j, estimator.count / elapsed)
                 for (i, j), estimator in self._estimators.items()
-                if i not in self._inactive
-                and j not in self._inactive
-                and estimator.count >= self._min_contacts
+                if i not in self._inactive and j not in self._inactive
             )
-        self._cached_graph = graph
-        self._cached_at = now
-        self._dirty = False
         return graph
-
-    def nbytes(self) -> int:
-        """Deep heap footprint of the estimator state in bytes: the
-        per-pair :class:`RateEstimator` dict (the dominant O(observed
-        pairs) term), the inactive-node set, and the cached snapshot
-        graph when one is held."""
-        from repro.obs.memory import deep_sizeof
-
-        return deep_sizeof(self)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

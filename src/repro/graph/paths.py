@@ -442,22 +442,6 @@ def _shortest_path_weight_matrix(
         return np.vstack(
             [shortest_path_weights_from(graph, s, time_budget, mode) for s in range(n)]
         )
-    weights, _, _ = _expected_delay_weight_matrix(graph, time_budget)
-    return weights
-
-
-def _expected_delay_weight_matrix(
-    graph: ContactGraph,
-    time_budget: float,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """All-pairs weight matrix plus the Dijkstra tree that produced it.
-
-    Returns ``(weights, dist, pred)``; the shortest-path tree is what
-    the incremental NCL update (:mod:`repro.graph.incremental`) diffs
-    against, so it is computed once here and reused rather than
-    re-derived.
-    """
-    n = graph.num_nodes
     dist, pred = _expected_delay_dijkstra(graph)
     rates = graph.rate_matrix()
     # Rates are symmetric and Eq. (2) is invariant under hop reordering,
@@ -471,38 +455,12 @@ def _expected_delay_weight_matrix(
     weights = np.zeros((n, n))
     np.fill_diagonal(weights, 1.0)  # trivial zero-hop path to oneself
     if len(ii):
-        pair_weights, _ = _pair_weights_from_tree(
-            rates, pred, ii, jj, time_budget
+        pair_weights = hypoexponential_cdf_batch(
+            _hop_slot_matrix(rates, pred, ii, jj), time_budget
         )
         weights[ii, jj] = pair_weights
         weights[jj, ii] = pair_weights
-    return weights, dist, pred
-
-
-def _pair_weights_from_tree(
-    rates: np.ndarray,
-    pred: np.ndarray,
-    ii: np.ndarray,
-    jj: np.ndarray,
-    time_budget: float,
-    pad_width: Optional[int] = None,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Eq. (2) weights for the pairs ``(ii[p], jj[p])`` given a
-    predecessor matrix; returns ``(pair_weights, hop_counts)``.
-
-    *pad_width* left-extends the hop-slot rows with extra zero padding.
-    The incremental updater passes the full build's pad width here so a
-    re-evaluated subset feeds :func:`hypoexponential_cdf_batch` rows
-    that are bitwise identical to the rows the from-scratch batch would
-    contain (the batched reduction is sensitive to column count at the
-    last ulp once rows exceed numpy's pairwise-summation block).
-    """
-    padded = _hop_slot_matrix(rates, pred, ii, jj)
-    hop_counts = (padded > 0.0).sum(axis=1)
-    if pad_width is not None and padded.shape[1] < pad_width:
-        extension = np.zeros((padded.shape[0], pad_width - padded.shape[1]))
-        padded = np.hstack([extension, padded])
-    return hypoexponential_cdf_batch(padded, time_budget), hop_counts
+    return weights
 
 
 def _hop_slot_matrix(

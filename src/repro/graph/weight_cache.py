@@ -7,10 +7,11 @@ vector at a time budget T, or the hop-rate tuples of the shortest
 opportunistic paths from a source.
 
 This module gives all of them one shared, bounded cache.  On dense
-graphs warm-up's all-pairs matrix installs its rows as single-source
-entries, so NCL selection's K central vectors are hits.  The push and query gradient
-routers hold the vectors of the current snapshot themselves: on their
-first decision after a GRAPH_REFRESH each refills its table with one
+graphs warm-up's all-pairs matrix is one entry, and a single-source
+lookup on the same snapshot reads its row, so NCL selection's K central
+vectors are hits.  The push and query gradient routers hold the vectors
+of the current snapshot themselves: on their first decision after a
+GRAPH_REFRESH each refills its table with one
 :meth:`PathWeightCache.weight_rows` call.  The first router to ask
 computes the missing vectors in one batched sweep; the second reads
 them back.  Per-contact decisions then never touch the cache.
@@ -21,14 +22,16 @@ Entries are keyed on ``(graph.fingerprint(), source, time_budget, mode)``.
 The fingerprint is a content digest of the rate matrix, lazily computed
 and invalidated by the graph's monotone :attr:`ContactGraph.version`
 bump on mutation.  Content keying (rather than instance keying) is what
-lets two *different* snapshot instances with identical rates — the
-common case for periodic GRAPH_REFRESH events over a quiet trace window —
-share one computation.  A mutated graph gets a new fingerprint, so stale
-reads are impossible by construction; eviction is plain LRU.  The graph
-enforces its side of the contract by keeping the rate matrix
-non-writable at rest: in-place ``numpy`` writes that would skip the
-version bump (``graph.rates[i, j] = x``) raise instead of silently
-poisoning this cache — all mutation goes through
+lets two *different* snapshot instances with identical rates share one
+computation.  Every snapshot divides the pairs' contact counts by the
+elapsed time, so only snapshots built at the same simulated instant
+share rates: a churn-triggered refresh landing on a periodic one, or
+the runs of several schemes over one trace.  A mutated graph gets a new
+fingerprint, so stale reads are impossible by construction; eviction is
+plain LRU.  The graph enforces its side of the contract by keeping the
+rate matrix non-writable at rest: in-place ``numpy`` writes that would
+skip the version bump (``graph.rates[i, j] = x``) raise instead of
+silently poisoning this cache — all mutation goes through
 ``ContactGraph.set_rate``/``set_rates``.
 
 Cached weight vectors are returned read-only (``ndarray.flags.writeable
@@ -44,7 +47,6 @@ from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.graph import incremental as _incremental
 from repro.graph.contact_graph import ContactGraph
 from repro.graph.paths import (
     PathMode,
@@ -89,11 +91,6 @@ class PathWeightCache:
         self._maxbytes = int(maxbytes)
         self._bytes = 0
         self._entries: "OrderedDict[Hashable, object]" = OrderedDict()
-        # Incremental all-pairs tree state, keyed (num_nodes, budget).
-        # Deliberately separate from the LRU: states are mutable masters,
-        # never handed to callers.
-        self._tree_states: "OrderedDict[Hashable, object]" = OrderedDict()
-        self._max_tree_states = 4
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
@@ -111,7 +108,6 @@ class PathWeightCache:
     def clear(self) -> None:
         with self._lock:
             self._entries.clear()
-            self._tree_states.clear()
             self._bytes = 0
             self.hits = 0
             self.misses = 0
@@ -161,8 +157,9 @@ class PathWeightCache:
     ) -> List[np.ndarray]:
         """Cached weight vectors from many sources (read-only, one per source).
 
-        Vectors already cached — single-source entries or rows installed
-        by :meth:`weight_matrix` — are served as they are; the missing
+        Every vector is a row of the cached :meth:`weight_matrix` when
+        one exists for the same graph, budget and mode; otherwise cached
+        single-source entries are served as they are and the missing
         ones are computed together in one
         :func:`shortest_path_weight_rows` sweep.  Counters are per
         vector: one hit per vector served from the cache, one miss per
@@ -179,16 +176,23 @@ class PathWeightCache:
         found: Dict[int, np.ndarray] = {}
         missing: Dict[int, None] = {}  # insertion-ordered set
         with self._lock:
-            for source in sources:
-                key = ("w", fingerprint, source, budget, mode)
-                value = self._entries.get(key)
-                if value is not None:
-                    self._entries.move_to_end(key)
-                    self.hits += 1
-                    found[source] = value  # type: ignore[assignment]
-                else:
-                    missing[source] = None
-            self.misses += len(missing)
+            matrix_key = ("W", fingerprint, budget, mode)
+            matrix = self._entries.get(matrix_key)
+            if matrix is not None:
+                self._entries.move_to_end(matrix_key)
+                self.hits += len(sources)
+                found = {source: matrix[source] for source in sources}  # type: ignore[index]
+            else:
+                for source in sources:
+                    key = ("w", fingerprint, source, budget, mode)
+                    value = self._entries.get(key)
+                    if value is not None:
+                        self._entries.move_to_end(key)
+                        self.hits += 1
+                        found[source] = value  # type: ignore[assignment]
+                    else:
+                        missing[source] = None
+                self.misses += len(missing)
         if missing:
             with maybe_span(prof, "weight_cache.weights.miss"):
                 rows = shortest_path_weight_rows(graph, list(missing), budget, mode)
@@ -208,15 +212,9 @@ class PathWeightCache:
     ) -> np.ndarray:
         """Cached all-pairs :func:`shortest_path_weight_matrix` (read-only).
 
-        Rows are also installed as single-source entries, so a
-        selection/refresh that computed the full matrix hands the routers
-        their per-central vectors for free.
-
-        In expected-delay mode on a dense graph the miss path maintains
-        incremental Dijkstra-tree state (:mod:`repro.graph.incremental`):
-        when only a few rates changed since the previous miss, only the
-        affected source rows are recomputed.  The result is bitwise
-        identical to a from-scratch build.
+        The matrix is one cache entry; :meth:`weight_rows` serves its
+        rows, so a selection/refresh that computed the full matrix hands
+        the routers their per-central vectors for free.
         """
         prof = active_profiler()
         if prof.enabled:
@@ -225,41 +223,12 @@ class PathWeightCache:
         cached = self._lookup(key)
         if cached is None:
             with maybe_span(prof, "weight_cache.matrix.miss"):
-                cached = self._compute_weight_matrix(graph, time_budget, mode)
+                cached = shortest_path_weight_matrix(graph, time_budget, mode)
             cached.flags.writeable = False
             self._store(key, cached)
-            for source in range(graph.num_nodes):
-                row = cached[source]
-                row.flags.writeable = False
-                self._store(
-                    ("w", graph.fingerprint(), source, float(time_budget), mode), row
-                )
         elif prof.enabled:
             prof.add("weight_cache.matrix.hit", perf_counter() - t0)
         return cached  # type: ignore[return-value]
-
-    def _compute_weight_matrix(
-        self, graph: ContactGraph, time_budget: float, mode: PathMode
-    ) -> np.ndarray:
-        """Miss-path compute: incremental when eligible, else scratch."""
-        if mode is not PathMode.EXPECTED_DELAY or graph.is_sparse:
-            return shortest_path_weight_matrix(graph, time_budget, mode)
-        state_key = ("T", graph.num_nodes, float(time_budget))
-        with self._lock:
-            state = self._tree_states.get(state_key)
-        weights = None
-        if state is not None:
-            with maybe_span(active_profiler(), "kernel.weight_matrix_update"):
-                weights = _incremental.update_state(state, graph, time_budget)
-        if weights is None:
-            with maybe_span(active_profiler(), "kernel.weight_matrix"):
-                weights, state = _incremental.build_state(graph, time_budget)
-        with self._lock:
-            self._tree_states[state_key] = state
-            self._tree_states.move_to_end(state_key)
-            while len(self._tree_states) > self._max_tree_states:
-                self._tree_states.popitem(last=False)
-        return weights
 
     def knn_rows(
         self,

@@ -137,7 +137,6 @@ def simulator_config(
     return SimulatorConfig(
         seed=run.seed,
         graph_refresh_period=run.graph_refresh_period,
-        snapshot_period=run.snapshot_period,
         sample_period=run.sample_period,
         validate_invariants=run.validate_invariants,
         trace_path=trace_path,

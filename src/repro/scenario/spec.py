@@ -101,7 +101,6 @@ class RunSpec:
 
     seed: int = 7
     repeat: int = 1
-    snapshot_period: float = 0.0
     graph_refresh_period: Optional[float] = None
     sample_period: Optional[float] = None
     profile: bool = False
@@ -117,8 +116,6 @@ class RunSpec:
     def __post_init__(self) -> None:
         if self.repeat < 1:
             raise ConfigurationError("repeat must be >= 1")
-        if self.snapshot_period < 0:
-            raise ConfigurationError("snapshot_period must be non-negative")
 
     @property
     def seeds(self) -> List[int]:

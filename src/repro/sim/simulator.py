@@ -71,12 +71,7 @@ class SimulatorConfig:
     graph_refresh_period:
         Spacing of fresh contact-graph snapshots pushed to the scheme
         during evaluation; ``None`` picks 1/20 of the evaluation window.
-    snapshot_period:
-        The estimator's snapshot cache window (simulated seconds): a
-        graph refresh landing inside the window reuses the previous
-        snapshot instead of rebuilding rates.  ``0`` (default) rebuilds
-        on every refresh — the pre-caching behaviour.  Topology changes
-        (churn/failure) always invalidate the cache immediately.
+        Each refresh builds a fresh snapshot.
     sample_period:
         Spacing of caching-overhead samples; ``None`` picks the workload's
         query period.
@@ -84,8 +79,6 @@ class SimulatorConfig:
         Optional :class:`repro.sim.dynamics.DynamicsConfig` schedule of
         churn and failure events applied during evaluation.  ``None``
         (default) keeps the network static — the paper's setup.
-    min_contacts_for_rate:
-        Pairs observed fewer times get rate 0 in snapshots.
     validate_invariants:
         Audit node state after every contact (sanitizer mode; see
         :mod:`repro.sim.invariants`).  Off by default.
@@ -125,9 +118,7 @@ class SimulatorConfig:
     seed: int = 0
     link_capacity: float = BLUETOOTH_EDR_BITS_PER_SECOND
     graph_refresh_period: Optional[float] = None
-    snapshot_period: float = 0.0
     sample_period: Optional[float] = None
-    min_contacts_for_rate: int = 1
     validate_invariants: bool = False
     trace_path: Optional[str] = None
     profile: bool = False
@@ -142,8 +133,6 @@ class SimulatorConfig:
             raise ConfigurationError("link capacity must be positive")
         if self.graph_refresh_period is not None and self.graph_refresh_period <= 0:
             raise ConfigurationError("graph_refresh_period must be positive")
-        if self.snapshot_period < 0:
-            raise ConfigurationError("snapshot_period must be non-negative")
         if self.sample_period is not None and self.sample_period <= 0:
             raise ConfigurationError("sample_period must be positive")
 
@@ -192,8 +181,6 @@ class Simulator:
         self.estimator = OnlineContactGraphEstimator(
             num_nodes=trace.num_nodes,
             origin=trace.start_time,
-            min_contacts=self.config.min_contacts_for_rate,
-            snapshot_period=self.config.snapshot_period,
             sparse=self.config.sparse_graph,
         )
         # Validates event node ids against the network size up front.
@@ -348,8 +335,6 @@ class Simulator:
     def _handle_graph_refresh(self, event: Event) -> None:
         self.registry.counter("sim.graph_refreshes").inc()
         with maybe_span(self.profiler, "sim.graph_refresh"):
-            # No force: the estimator's snapshot_period caching decides
-            # whether a rebuild is due (period 0 rebuilds every time).
             graph = self.estimator.snapshot(event.time)
             self.scheme.on_graph_updated(graph, event.time)
 
@@ -497,7 +482,7 @@ class Simulator:
         from repro.graph.weight_cache import shared_weight_cache
 
         return {
-            "contact_graph": self.estimator.nbytes,
+            "contact_graph": self._contact_graph_nbytes,
             "nodes": lambda: sum(node.nbytes() for node in self.nodes),
             "scheme": self._scheme_nbytes,
             "weight_cache": lambda: int(shared_weight_cache().nbytes),
@@ -507,17 +492,25 @@ class Simulator:
             "observability": self._obs_nbytes,
         }
 
+    def _contact_graph_nbytes(self) -> int:
+        """Bytes of the rate estimator plus the contact-graph snapshot the
+        scheme holds (one walk, so state they share counts once)."""
+        seen: Set[int] = set()
+        return deep_sizeof(self.estimator, seen) + deep_sizeof(self.scheme.graph, seen)
+
     def _scheme_nbytes(self) -> int:
         """Bytes of scheme-owned state (NCL selection, routers, response
         strategy, replacement pools).
 
         The scheme's attached services reference simulator-owned state
-        (node list, metrics, estimator, …); pre-seeding the deep walk
-        with their ids leaves exactly the containers the scheme itself
+        (node list, metrics, estimator, …), and its graph snapshot is
+        counted under ``contact_graph``; pre-seeding the deep walk with
+        their ids leaves exactly the containers the scheme itself
         allocated — no double attribution against the other accountants.
         """
         seen = {
             id(self),
+            id(self.scheme.graph),
             id(self.nodes),
             id(self.metrics),
             id(self.estimator),
@@ -859,7 +852,7 @@ class Simulator:
     def _setup(self, services: SchemeServices, warmup_end: float) -> None:
         """Midpoint setup: attach the scheme and run NCL selection."""
         self.scheme.attach(services)
-        snapshot = self.estimator.snapshot(warmup_end, force=True)
+        snapshot = self.estimator.snapshot(warmup_end)
         self.scheme.on_graph_updated(snapshot, warmup_end)
         self.scheme.on_warmup_complete(warmup_end)
 

@@ -52,17 +52,6 @@ class TestFromTrace:
         graph = ContactGraph.from_trace(trace, until=50.0)
         assert graph.rate(0, 1) == pytest.approx(1 / 40.0)
 
-    def test_min_contacts_filters_noise(self):
-        contacts = [
-            Contact(0.0, 1.0, 0, 1),
-            Contact(10.0, 11.0, 0, 1),
-            Contact(5.0, 6.0, 1, 2),
-        ]
-        trace = ContactTrace(contacts, num_nodes=3)
-        graph = ContactGraph.from_trace(trace, min_contacts=2)
-        assert graph.rate(0, 1) > 0.0
-        assert graph.rate(1, 2) == 0.0
-
     def test_rejects_horizon_before_start(self):
         trace = ContactTrace([Contact(10.0, 20.0, 0, 1)], num_nodes=2)
         with pytest.raises(ConfigurationError):

@@ -5,7 +5,11 @@ import pytest
 
 from repro.graph import weight_cache
 from repro.graph.contact_graph import ContactGraph
-from repro.graph.paths import PathMode, shortest_path_weights_from
+from repro.graph.paths import (
+    PathMode,
+    shortest_path_weight_matrix,
+    shortest_path_weights_from,
+)
 from repro.graph.weight_cache import (
     PathWeightCache,
     cached_path_weights,
@@ -19,6 +23,23 @@ def graph():
     g.set_rate(0, 1, 1.0)
     g.set_rate(1, 2, 0.5)
     g.set_rate(2, 3, 0.25)
+    return g
+
+
+@pytest.fixture(params=[4, 300], ids=str)
+def sized_graph(request, graph):
+    """The 4-node chain, or a random 300-node graph: more nodes than the
+    cache holds entries, so its matrix must be one entry, not one per row."""
+    if request.param == 4:
+        return graph
+    rng = np.random.default_rng(0)
+    g = ContactGraph(request.param)
+    g.set_edge_rates(
+        (i, int(j), float(rng.uniform(0.1, 1.0)))
+        for i in range(request.param)
+        for j in rng.choice(request.param, 6, replace=False)
+        if j != i
+    )
     return g
 
 
@@ -45,13 +66,19 @@ class TestPathWeightCache:
     def test_mutation_invalidates(self, graph):
         cache = PathWeightCache()
         before = cache.weights(graph, 0, 10.0)
+        stale = cache.weight_matrix(graph, 10.0)
         graph.set_rate(0, 3, 2.0)
         after = cache.weights(graph, 0, 10.0)
-        assert cache.misses == 2
+        assert cache.misses == 3
         assert after[3] > before[3]
+        # The mutated graph's matrix is a scratch build, byte for byte.
+        fresh = cache.weight_matrix(graph, 10.0)
+        assert fresh is not stale
+        assert fresh.tobytes() == shortest_path_weight_matrix(graph, 10.0).tobytes()
 
     def test_identical_content_shares_entries_across_instances(self):
-        # The GRAPH_REFRESH scenario: distinct snapshot objects, same rates.
+        # Two snapshots built at the same simulated instant (a churn
+        # refresh landing on a periodic one): distinct objects, same rates.
         a = ContactGraph(3)
         b = ContactGraph(3)
         for g in (a, b):
@@ -77,27 +104,33 @@ class TestPathWeightCache:
         cache.weights(graph, 0, 4.0)  # newest entry survived
         assert cache.hits == 1
 
-    def test_weight_matrix_seeds_single_source_rows(self, graph):
+    def test_weight_matrix_seeds_single_source_rows(self, sized_graph):
         cache = PathWeightCache()
-        matrix = cache.weight_matrix(graph, 10.0)
-        row = cache.weights(graph, 2, 10.0)
-        assert cache.hits == 1  # served from the matrix row, not recomputed
+        matrix = cache.weight_matrix(sized_graph, 10.0)
+        assert cache.weight_matrix(sized_graph, 10.0) is matrix
+        row = cache.weights(sized_graph, 2, 10.0)
+        # both served from the matrix, not recomputed
+        assert (cache.hits, cache.misses) == (2, 1)
         np.testing.assert_array_equal(row, matrix[2])
 
-    def test_weight_rows_after_weight_matrix_computes_nothing(self, graph, monkeypatch):
+    def test_weight_rows_after_weight_matrix_computes_nothing(
+        self, sized_graph, monkeypatch
+    ):
         cache = PathWeightCache()
-        matrix = cache.weight_matrix(graph, 10.0)
+        matrix = cache.weight_matrix(sized_graph, 10.0)
         hits, misses = cache.hits, cache.misses
 
         def no_sweep(*args):
-            raise AssertionError("installed rows must be served, not recomputed")
+            raise AssertionError("matrix rows must be served, not recomputed")
 
         monkeypatch.setattr(weight_cache, "shortest_path_weight_rows", no_sweep)
-        rows = cache.weight_rows(graph, [2, 0, 2], 10.0)
-        assert (cache.hits, cache.misses) == (hits + 3, misses)  # per vector
-        for row, source in zip(rows, [2, 0, 2]):
+        sources = [2, 0, 2, sized_graph.num_nodes - 1]
+        rows = cache.weight_rows(sized_graph, sources, 10.0)
+        assert (cache.hits, cache.misses) == (hits + 4, misses)  # per vector
+        for row, source in zip(rows, sources):
             assert np.shares_memory(row, matrix)
             np.testing.assert_array_equal(row, matrix[source])
+        assert cache.weight_matrix(sized_graph, 10.0) is matrix
 
     def test_weight_rows_count_per_vector(self, graph):
         cache = PathWeightCache()

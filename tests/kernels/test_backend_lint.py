@@ -1,103 +1,180 @@
-"""The kernel-oracle AST lint: clean tree, plus synthetic violations.
+"""The kernel-oracle lint: every hot kernel keeps its oracle and its tests.
 
-``scripts/check_kernel_oracles.py`` enforces the oracle contract —
-every listed kernel keeps a ``_reference_*`` oracle in its module and
-an equivalence test naming that oracle, and every oracle in the source
-tree is listed.  Running it under pytest keeps the contract in tier-1
-instead of relying on a manual script invocation.
+Each hot kernel has one numpy/scipy implementation, pinned by a
+retained pure-python ``_reference_*`` oracle that equivalence tests
+compare it against.  The tests below enforce the structural half of
+that contract from the :data:`KERNELS` table, one rule each:
+
+* each entry names an oracle beginning with ``_reference_``;
+* the oracle is defined (function or assignment) in the entry's module;
+* a file under ``tests/`` or ``benchmarks/`` other than this one names
+  the oracle — the equivalence test must name the oracle it checks;
+* a kernel flagged ``sparse`` keeps a *dense* oracle, and its docstring
+  says so (the word "dense");
+* every module-level ``_reference_*`` name under ``src/repro/`` is
+  listed under its module, so an oracle added beside a new kernel
+  cannot escape the rules above.
+
+Module sources are read from the AST — no imports, so the lint cannot
+be fooled by runtime monkey-patching.
 """
 
-import importlib.util
-import os
+import ast
+from pathlib import Path
 
 import pytest
 
-_SCRIPT = os.path.join(
-    os.path.dirname(__file__),
-    os.pardir,
-    os.pardir,
-    "scripts",
-    "check_kernel_oracles.py",
-)
+REPO_ROOT = Path(__file__).resolve().parents[2]
+SOURCE_ROOT = REPO_ROOT / "src"
+
+#: The hot kernels: the module defining each one's implementation and
+#: the ``_reference_*`` oracle that pins its semantics.  ``sparse``
+#: kernels operate on the CSR/adjacency representation and never
+#: allocate N×N, so their oracle must be a dense reference.
+KERNELS = {
+    "hypoexp_cdf_batch": {
+        "module": "repro.mathutils.hypoexponential",
+        "reference": "_reference_cdf_batch",
+    },
+    "weight_matrix": {
+        "module": "repro.graph.paths",
+        "reference": "_reference_weight_matrix",
+    },
+    "weight_rows": {
+        "module": "repro.graph.paths",
+        "reference": "_reference_shortest_path_weights_from",
+    },
+    "ncl_metrics": {
+        "module": "repro.core.ncl",
+        "reference": "_reference_ncl_metrics",
+    },
+    "knapsack_dp": {
+        "module": "repro.core.knapsack",
+        "reference": "_reference_knapsack_dp",
+    },
+    "knn_weight_rows": {
+        "module": "repro.graph.sparse",
+        "reference": "_reference_knn_weight_rows",
+        "sparse": True,
+    },
+    "sparse_ncl_metrics": {
+        "module": "repro.core.ncl",
+        "reference": "_reference_sparse_ncl_metrics",
+        "sparse": True,
+    },
+}
 
 
 @pytest.fixture(scope="module")
-def lint():
-    spec = importlib.util.spec_from_file_location("check_kernel_oracles", _SCRIPT)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+def trees():
+    """Dotted module name → parsed AST for every module under ``src/repro``."""
+    parsed = {}
+    for path in sorted((SOURCE_ROOT / "repro").rglob("*.py")):
+        parts = list(path.relative_to(SOURCE_ROOT).with_suffix("").parts)
+        if parts[-1] == "__init__":
+            parts.pop()
+        parsed[".".join(parts)] = ast.parse(path.read_text(encoding="utf-8"))
+    return parsed
 
 
-def test_source_tree_is_clean(lint):
-    violations = lint.collect_violations()
-    assert violations == [], "\n".join(str(v) for v in violations)
+def _defined_names(tree):
+    """Top-level function/assignment names defined in a module."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+    return names
 
 
-def test_flags_misnamed_reference(lint):
-    kernels = {"k": {"module": "m", "reference": "reference_k"}}
-    violations = lint.check_specs(kernels, {"m": {"reference_k"}}, "reference_k")
-    assert any("_reference_*" in v.message for v in violations)
-
-
-def test_flags_oracle_missing_from_module(lint):
-    kernels = {"k": {"module": "m", "reference": "_reference_k"}}
-    violations = lint.check_specs(kernels, {"m": set()}, "_reference_k")
-    assert any("not defined" in v.message for v in violations)
-
-
-def test_flags_oracle_unnamed_by_tests(lint):
-    kernels = {"k": {"module": "m", "reference": "_reference_k"}}
-    violations = lint.check_specs(kernels, {"m": {"_reference_k"}}, "")
-    assert any("no test names the oracle" in v.message for v in violations)
-
-
-def test_flags_oracle_missing_from_kernels(lint):
-    kernels = {"k": {"module": "m", "reference": "_reference_k"}}
-    defined = {"m": {"_reference_k", "_reference_unlisted"}, "n": {"_reference_k"}}
-    corpus = "_reference_k _reference_unlisted"
-    violations = lint.check_specs(kernels, defined, corpus)
-    # Listed under another module does not count: the entry pins m's oracle.
-    assert [(v.where, v.message.split("'")[1]) for v in violations] == [
-        ("m", "_reference_unlisted"),
-        ("n", "_reference_k"),
+def test_oracles_are_named_reference():
+    misnamed = [
+        spec["reference"]
+        for spec in KERNELS.values()
+        if not spec["reference"].startswith("_reference_")
     ]
-    assert all("not listed in KERNELS" in v.message for v in violations)
+    assert misnamed == [], "oracles must be named _reference_*"
 
 
-def test_flags_sparse_kernel_without_dense_oracle_doc(lint):
-    kernels = {
-        "k": {"module": "m", "reference": "_reference_k", "sparse": True},
-    }
-    docs = {"_reference_k": "Sparse-vs-sparse check of the k kernel."}
-    violations = lint.check_specs(
-        kernels, {"m": {"_reference_k"}}, "_reference_k", docs
+def test_oracles_are_defined_in_their_module(trees):
+    missing = [
+        f"{spec['module']}.{spec['reference']}"
+        for spec in KERNELS.values()
+        if spec["module"] not in trees
+        or spec["reference"] not in _defined_names(trees[spec["module"]])
+    ]
+    assert missing == []
+
+
+def test_oracles_are_named_by_a_test():
+    # This file names every oracle in KERNELS, so it is left out.
+    this = Path(__file__).resolve()
+    corpus = "\n".join(
+        path.read_text(encoding="utf-8")
+        for root in ("tests", "benchmarks")
+        for path in sorted((REPO_ROOT / root).rglob("*.py"))
+        if path.resolve() != this
     )
-    assert any("dense reference" in v.message for v in violations)
+    unnamed = [
+        spec["reference"]
+        for spec in KERNELS.values()
+        if spec["reference"] not in corpus
+    ]
+    assert unnamed == [], "no test names these oracles (equivalence test missing?)"
 
 
-def test_sparse_kernel_with_dense_oracle_doc_is_clean(lint):
-    kernels = {
-        "k": {"module": "m", "reference": "_reference_k", "sparse": True},
-    }
-    docs = {"_reference_k": "Dense pure-python oracle for the k kernel."}
-    violations = lint.check_specs(
-        kernels, {"m": {"_reference_k"}}, "_reference_k", docs
-    )
-    assert violations == []
+def _undocumented_dense_oracles(kernels, trees):
+    """Oracles of ``sparse`` kernels whose docstring does not say "dense".
+
+    A sparse kernel checked only against another sparse implementation
+    could share its truncation bugs: the oracle must materialise the
+    full matrix the sparse path avoids.
+    """
+    undocumented = []
+    for spec in kernels.values():
+        if not spec.get("sparse"):
+            continue
+        docs = {
+            node.name: ast.get_docstring(node) or ""
+            for node in trees[spec["module"]].body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        }
+        if "dense" not in docs.get(spec["reference"], "").lower():
+            undocumented.append(spec["reference"])
+    return undocumented
 
 
-def test_sparse_rule_skipped_without_docstrings(lint):
-    # oracle_docs=None (the synthetic default) must not fire the rule —
-    # filesystem-free callers opt in by passing the docstring map.
-    kernels = {
-        "k": {"module": "m", "reference": "_reference_k", "sparse": True},
-    }
-    violations = lint.check_specs(kernels, {"m": {"_reference_k"}}, "_reference_k")
-    assert violations == []
+def test_sparse_kernel_oracles_are_documented_dense(trees):
+    undocumented = _undocumented_dense_oracles(KERNELS, trees)
+    assert undocumented == [], "a sparse kernel's oracle docstring must say 'dense'"
 
 
-def test_script_main_exits_zero(lint, capsys):
-    assert lint.main() == 0
-    out = capsys.readouterr().out
-    assert "all registered kernels" in out
+# The dense-oracle rule is the only one that reads docstrings, so it is
+# also run on one-function modules to show it fires and stays quiet.
+_SPARSE_K = {"k": {"module": "m", "reference": "_reference_k", "sparse": True}}
+
+
+def _oracle_module(doc):
+    return {"m": ast.parse(f'def _reference_k():\n    """{doc}"""\n')}
+
+
+def test_flags_sparse_kernel_without_dense_oracle_doc():
+    trees = _oracle_module("Sparse-vs-sparse check of the k kernel.")
+    assert _undocumented_dense_oracles(_SPARSE_K, trees) == ["_reference_k"]
+
+
+def test_sparse_kernel_with_dense_oracle_doc_is_clean():
+    trees = _oracle_module("Dense pure-python oracle for the k kernel.")
+    assert _undocumented_dense_oracles(_SPARSE_K, trees) == []
+
+
+def test_every_oracle_is_listed(trees):
+    listed = {(spec["module"], spec["reference"]) for spec in KERNELS.values()}
+    unlisted = [
+        f"{module}.{name}"
+        for module, tree in trees.items()
+        for name in sorted(_defined_names(tree))
+        if name.startswith("_reference_") and (module, name) not in listed
+    ]
+    assert unlisted == [], "add the kernel each oracle pins to KERNELS"

@@ -126,7 +126,8 @@ def _gc_sizeof(roots, exclude=()):
 
 
 def oracle_nbytes_contact_graph(sim):
-    return _gc_sizeof([sim.estimator])
+    # The rate estimator plus the snapshot the scheme holds.
+    return _gc_sizeof([sim.estimator, sim.scheme.graph])
 
 
 def oracle_nbytes_nodes(sim):
@@ -135,10 +136,12 @@ def oracle_nbytes_nodes(sim):
 
 
 def oracle_nbytes_scheme(sim):
-    # The scheme's services reference simulator-owned state; exclude it
-    # the same way Simulator._scheme_nbytes pre-seeds its walk.
+    # The scheme's services reference simulator-owned state, and its
+    # graph snapshot is contact_graph's; exclude them the same way
+    # Simulator._scheme_nbytes pre-seeds its walk.
     exclude = [
         sim,
+        sim.scheme.graph,
         sim.nodes,
         sim.metrics,
         sim.estimator,
@@ -208,6 +211,26 @@ def test_accountant_against_oracle(profiled_sim, name):
         f"{name}: accountant={accountant} oracle={independent} "
         f"ratio={ratio:.3f} outside [{low}, {high}]"
     )
+
+
+def test_scheme_snapshot_is_counted_once(profiled_sim, monkeypatch):
+    """The scheme's graph snapshot belongs to ``contact_graph``: leaving
+    it out of the scheme walk changes nothing."""
+    import repro.sim.simulator as simulator
+
+    graph = profiled_sim.scheme.graph
+    assert graph is not None
+    breakdown = profiled_sim.memory_breakdown()
+    assert breakdown["contact_graph"] >= deep_sizeof(graph)
+    walk = simulator.deep_sizeof
+
+    def walk_without_graph(obj, seen=None):
+        seen = set() if seen is None else seen
+        seen.add(id(graph))
+        return walk(obj, seen)
+
+    monkeypatch.setattr(simulator, "deep_sizeof", walk_without_graph)
+    assert profiled_sim.memory_breakdown()["scheme"] == breakdown["scheme"]
 
 
 def test_weight_cache_accountant_is_payload_lower_bound(profiled_sim):

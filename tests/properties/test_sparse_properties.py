@@ -1,4 +1,4 @@
-"""Sparse-core properties: k-NN kernel vs dense oracles, incremental NCL.
+"""Sparse-core properties: k-NN kernel vs dense oracles, storage modes.
 
 The scale-out path must never change answers, only cost:
 
@@ -10,8 +10,6 @@ The scale-out path must never change answers, only cost:
   the exact ``ncl_metrics``;
 * storage mode is invisible: a forced-sparse graph produces bitwise the
   same kernel outputs as the same rates stored densely;
-* the incremental NCL update (``repro.graph.incremental``) is bitwise
-  the scratch weight matrix after arbitrary churn;
 * end-to-end, a forced-sparse run equals a forced-dense run bitwise
   when both use the same (k-NN) metric, serial and with workers=4.
 """
@@ -29,7 +27,6 @@ from repro.core.ncl import (
     ncl_metrics,
     sparse_ncl_metrics,
 )
-from repro.graph import incremental
 from repro.graph.contact_graph import ContactGraph
 from repro.graph.paths import shortest_path_weight_matrix
 from repro.graph.sparse import (
@@ -168,39 +165,6 @@ def test_knn_rows_bitwise_across_storage_modes(case, k):
     assert np.array_equal(
         dense_store.aggregate_rates(), sparse_store.aggregate_rates()
     )
-
-
-# --- incremental NCL == scratch after arbitrary churn ----------------------
-
-
-churn_steps = st.lists(
-    st.tuples(
-        st.integers(min_value=0, max_value=15),
-        st.integers(min_value=0, max_value=15),
-        st.floats(min_value=0.0, max_value=1e-2, allow_nan=False),
-    ),
-    min_size=1,
-    max_size=30,
-)
-
-
-@settings(max_examples=30, deadline=None)
-@given(steps=churn_steps, seed=st.integers(min_value=0, max_value=5))
-def test_incremental_update_bitwise_equals_scratch(steps, seed):
-    graph = _graph(seed=seed, num_nodes=16)
-    budget = 6 * HOUR
-    _, state = incremental.build_state(graph, budget)
-    for i, j, rate in steps:
-        if i == j:
-            continue
-        graph.set_rate(i, j, rate)
-        updated = incremental.update_state(state, graph, budget)
-        scratch = shortest_path_weight_matrix(graph, budget)
-        if updated is None:
-            # Guard tripped (pad-width change, too dirty): rebuild.
-            _, state = incremental.build_state(graph, budget)
-            updated = state.weights
-        assert np.array_equal(updated, scratch)
 
 
 # --- end-to-end: storage mode invisible, serial == workers=4 ---------------

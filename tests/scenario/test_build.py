@@ -98,14 +98,14 @@ class TestFactoriesAndConfig:
 
     def test_simulator_config_maps_run_knobs(self):
         spec = ScenarioSpec(
-            run=RunSpec(seed=13, snapshot_period=300.0, profile=True),
+            run=RunSpec(seed=13, graph_refresh_period=300.0, profile=True),
             dynamics=DynamicsConfig(
                 events=(DynamicsEvent(action="join", at_fraction=0.5, node=1),)
             ),
         )
         config = simulator_config(spec, trace_path="/tmp/t.jsonl")
         assert config.seed == 13
-        assert config.snapshot_period == 300.0
+        assert config.graph_refresh_period == 300.0
         assert config.profile is True
         assert config.trace_path == "/tmp/t.jsonl"
         assert config.dynamics is spec.dynamics

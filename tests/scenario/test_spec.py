@@ -19,7 +19,7 @@ def _full_spec() -> ScenarioSpec:
             reelect=True,
         ),
         workload=WorkloadConfig(mean_data_lifetime=7200.0, mean_data_size=1_000_000),
-        run=RunSpec(seed=11, repeat=3, snapshot_period=600.0, profile=True),
+        run=RunSpec(seed=11, repeat=3, graph_refresh_period=600.0, profile=True),
         dynamics=DynamicsConfig(
             events=(
                 DynamicsEvent(action="fail_central", at_fraction=0.4, central_rank=1),
@@ -83,10 +83,6 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             RunSpec(repeat=0)
 
-    def test_rejects_negative_snapshot_period(self):
-        with pytest.raises(ConfigurationError):
-            RunSpec(snapshot_period=-1.0)
-
 
 class TestRunSpec:
     def test_seeds_enumerate_repetitions(self):
@@ -103,7 +99,7 @@ class TestProvenance:
         assert "seed" not in run
         assert "repeat" not in run
         # Run knobs that change the simulation itself stay in the hash.
-        assert run["snapshot_period"] == 600.0
+        assert run["graph_refresh_period"] == 600.0
 
     def test_same_experiment_different_seed_hashes_identically(self):
         base = _full_spec()

@@ -119,44 +119,20 @@ class TestConfigValidation:
             SimulatorConfig(**overrides)
 
 
-class TestSnapshotPeriod:
-    """Graph refreshes must honour the estimator's snapshot cache.
-
-    Regression: refreshes used to call ``snapshot(force=True)``, which
-    rebuilt the contact graph on every refresh no matter what
-    ``snapshot_period`` said.
-    """
-
-    def _spy_snapshots(self, monkeypatch, config):
+class TestRefreshSnapshots:
+    def test_every_refresh_builds_a_fresh_snapshot(self, monkeypatch):
         from repro.graph.estimator import OnlineContactGraphEstimator
 
-        calls = []
+        graphs = []
         original = OnlineContactGraphEstimator.snapshot
 
-        def spy(est, now, force=False):
+        def spy(est, now):
             # Keep the graph object alive: id() values of collected
             # graphs get recycled, which would fake distinctness.
-            graph = original(est, now, force)
-            calls.append((force, graph))
-            return graph
+            graphs.append(original(est, now))
+            return graphs[-1]
 
         monkeypatch.setattr(OnlineContactGraphEstimator, "snapshot", spy)
-        Simulator(tiny_trace(), NoCache(), workload(), config).run()
-        return calls
-
-    def test_refreshes_reuse_cached_snapshot_within_period(self, monkeypatch):
-        # Period longer than the trace: only the forced setup snapshot
-        # may build a graph; every refresh must serve it from cache.
-        calls = self._spy_snapshots(
-            monkeypatch, SimulatorConfig(seed=1, snapshot_period=1e12)
-        )
-        assert [force for force, _ in calls].count(True) == 1
-        assert len(calls) > 1  # refreshes did happen
-        assert len({id(graph) for _, graph in calls}) == 1
-
-    def test_zero_period_rebuilds_every_refresh(self, monkeypatch):
-        # The legacy default: no caching, a fresh graph per refresh.
-        calls = self._spy_snapshots(
-            monkeypatch, SimulatorConfig(seed=1, snapshot_period=0.0)
-        )
-        assert len({id(graph) for _, graph in calls}) == len(calls)
+        Simulator(tiny_trace(), NoCache(), workload(), SimulatorConfig(seed=1)).run()
+        assert len(graphs) > 1  # the set-up snapshot plus refreshes
+        assert len({id(graph) for graph in graphs}) == len(graphs)
