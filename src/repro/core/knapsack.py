@@ -28,20 +28,28 @@ solver's determinism contract).  What remains unrepaired is bounded:
 combining one oversize item with sub-resolution leftovers can be missed,
 costing at most the value packable into one resolution unit.
 
-The DP table fill is the pure Python strict-improvement recurrence in
-:func:`_reference_knapsack_dp`, which is also the oracle the property
-tests pin the solver to.
+Most pools need no table.  When the feasible items' quantised sizes sum
+to at most the quantised capacity, every DP cell at or past a prefix's
+total size holds that prefix's running sum, and the traceback from full
+capacity reads only such cells: the DP keeps exactly the items, in input
+order, whose value strictly raises the running sum.  The solver takes
+that shortcut; otherwise it fills the keep table with numpy, one row per
+item, making the same float additions and strict ``>`` comparisons as
+the pure-Python recurrence :func:`_reference_knapsack_dp`, the oracle
+the property tests pin both paths to.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Hashable, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.errors import KnapsackError
 
-__all__ = ["KnapsackItem", "KnapsackSolution", "KnapsackPool", "solve_knapsack"]
+__all__ = ["KnapsackItem", "KnapsackSolution", "solve_knapsack"]
 
 
 @dataclass(frozen=True)
@@ -105,14 +113,37 @@ def _reference_knapsack_dp(
     return keep
 
 
-def _solve(
+def _keep_table(
+    values: Sequence[float], sizes: Sequence[int], cap_units: int
+) -> np.ndarray:
+    """:func:`_reference_knapsack_dp`'s keep table, one numpy row per item.
+
+    Each row of the descending 1-D recurrence reads only the previous
+    row's ``best``, so the vector update makes the same float additions
+    and strict ``>`` comparisons, cell for cell.
+    """
+    width = cap_units + 1
+    best = np.zeros(width)
+    keep = np.zeros((len(values), width), dtype=bool)
+    for i, (value, size) in enumerate(zip(values, sizes)):
+        candidate = best[: width - size] + value
+        take = candidate > best[size:]
+        keep[i, size:] = take
+        best[size:] = np.where(take, candidate, best[size:])
+    return keep
+
+
+def solve_knapsack(
     items: Sequence[KnapsackItem],
     capacity: int,
-    max_capacity_units: int,
-    qsize_cache: Optional[Dict[int, Dict[int, int]]],
+    max_capacity_units: int = 4096,
 ) -> KnapsackSolution:
-    """Shared solver core behind :func:`solve_knapsack` and
-    :meth:`KnapsackPool.solve` (one code path keeps them bitwise equal)."""
+    """Solve the 0/1 knapsack over *items* with buffer *capacity* (bits).
+
+    Returns the utility-maximising subset under quantisation (see module
+    docstring).  Deterministic: ties are resolved by preferring items
+    earlier in the input sequence.
+    """
     if capacity < 0:
         raise KnapsackError(f"capacity must be non-negative, got {capacity}")
     if max_capacity_units < 1:
@@ -123,19 +154,7 @@ def _solve(
 
     resolution = _resolution_for(capacity, max_capacity_units)
     cap_units = capacity // resolution
-    if qsize_cache is None:
-        sizes = [math.ceil(item.size / resolution) for item in items]
-    else:
-        # Memoised per (resolution, raw size): math.ceil of the same
-        # float division, so cached and uncached paths agree bitwise.
-        table = qsize_cache.setdefault(resolution, {})
-        sizes = []
-        for item in items:
-            quantised = table.get(item.size)
-            if quantised is None:
-                quantised = math.ceil(item.size / resolution)
-                table[item.size] = quantised
-            sizes.append(quantised)
+    sizes = [math.ceil(item.size / resolution) for item in items]
 
     feasible = [
         (item, size) for item, size in zip(items, sizes) if size <= cap_units
@@ -158,22 +177,32 @@ def _solve(
             )
         return _EMPTY_SOLUTION
 
-    keep = _reference_knapsack_dp(
-        [item.value for item, _ in feasible],
-        [size for _, size in feasible],
-        cap_units,
-    )
+    if sum(size for _, size in feasible) <= cap_units:
+        # The pool fits: the DP would keep exactly the items that
+        # strictly raise the running sum (module docstring).
+        kept: List[KnapsackItem] = []
+        running = 0.0
+        for item, _ in feasible:
+            if running + item.value > running:
+                running += item.value
+                kept.append(item)
+        selected = tuple(kept)
+    else:
+        keep = _keep_table(
+            [item.value for item, _ in feasible],
+            [size for _, size in feasible],
+            cap_units,
+        )
+        # Traceback from full capacity.
+        selected_indices: List[int] = []
+        w = cap_units
+        for i in range(len(feasible) - 1, -1, -1):
+            if keep[i, w]:
+                selected_indices.append(i)
+                w -= feasible[i][1]
+        selected_indices.reverse()
+        selected = tuple(feasible[i][0] for i in selected_indices)
 
-    # Traceback from full capacity.
-    selected_indices: List[int] = []
-    w = cap_units
-    for i in range(len(feasible) - 1, -1, -1):
-        if keep[i][w]:
-            selected_indices.append(i)
-            w -= feasible[i][1]
-    selected_indices.reverse()
-
-    selected = tuple(feasible[i][0] for i in selected_indices)
     total_value = sum(item.value for item in selected)
     if best_single is not None and best_single.value > total_value:
         return KnapsackSolution(
@@ -186,42 +215,3 @@ def _solve(
         total_value=total_value,
         total_size=sum(item.size for item in selected),
     )
-
-
-def solve_knapsack(
-    items: Sequence[KnapsackItem],
-    capacity: int,
-    max_capacity_units: int = 4096,
-) -> KnapsackSolution:
-    """Solve the 0/1 knapsack over *items* with buffer *capacity* (bits).
-
-    Returns the utility-maximising subset under quantisation (see module
-    docstring).  Deterministic: ties are resolved by preferring items
-    earlier in the input sequence.
-    """
-    return _solve(items, capacity, max_capacity_units, qsize_cache=None)
-
-
-class KnapsackPool:
-    """Shared quantisation cache for the repeated Eq. 7 solves of a tick.
-
-    Algorithm 1 re-solves the knapsack once per round per side over
-    overlapping item sets and shrinking capacities, and the simulator
-    may run several exchanges in one tick.  A pool memoises every item
-    size's quantisation per resolution, so each pool member is rounded
-    once per resolution instead of once per solve.  Results are those
-    of :func:`solve_knapsack` call-for-call (same code path), so
-    batching is bitwise-invisible.
-    """
-
-    def __init__(self, max_capacity_units: int = 4096):
-        if max_capacity_units < 1:
-            raise KnapsackError("max_capacity_units must be >= 1")
-        self._max_capacity_units = int(max_capacity_units)
-        self._qsize_cache: Dict[int, Dict[int, int]] = {}
-
-    def solve(
-        self, items: Sequence[KnapsackItem], capacity: int
-    ) -> KnapsackSolution:
-        """Exactly :func:`solve_knapsack`, with the pool's caches."""
-        return _solve(items, capacity, self._max_capacity_units, self._qsize_cache)

@@ -30,7 +30,7 @@ import numpy as np
 
 from repro.core.buffer import CacheBuffer
 from repro.core.data import DataItem
-from repro.core.knapsack import KnapsackItem, KnapsackPool
+from repro.core.knapsack import KnapsackItem, solve_knapsack
 
 
 def _memo_utility(
@@ -428,10 +428,6 @@ class UtilityKnapsackPolicy(ReplacementPolicy):
             raise ValueError("max_rounds must be >= 1")
         self.probabilistic = probabilistic
         self.max_rounds = max_rounds
-        # Shared across all exchanges this policy handles: one size
-        # quantisation per tick-wide pool instead of a per-solve
-        # recompute.
-        self._pool = KnapsackPool()
 
     # --- admit: utility-ordered eviction ------------------------------
 
@@ -451,7 +447,7 @@ class UtilityKnapsackPolicy(ReplacementPolicy):
             return True
         utility = utility or (lambda d: 0.0)
         pool = buffer.items() + [item]
-        solution = self._pool.solve(
+        solution = solve_knapsack(
             [
                 KnapsackItem(key=d.data_id, value=self._admit_value(d, item, utility), size=d.size)
                 for d in pool
@@ -494,7 +490,8 @@ class UtilityKnapsackPolicy(ReplacementPolicy):
         utility_a = _memo_utility(context.utility_a)
         utility_b = _memo_utility(context.utility_b)
         kept_a = self._select_for(buffer_a, pool, utility_a, context)
-        remainder = [d for d in pool if d.data_id not in {x.data_id for x in kept_a}]
+        kept_a_ids = {x.data_id for x in kept_a}
+        remainder = [d for d in pool if d.data_id not in kept_a_ids]
         kept_b = self._select_for(buffer_b, remainder, utility_b, context)
         kept_b_ids = {x.data_id for x in kept_b}
         leftover = [d for d in remainder if d.data_id not in kept_b_ids]
@@ -537,7 +534,7 @@ class UtilityKnapsackPolicy(ReplacementPolicy):
             remaining = [d for d in remaining if d.size <= buffer.free]
             if not remaining:
                 break
-            solution = self._pool.solve(
+            solution = solve_knapsack(
                 [
                     KnapsackItem(
                         key=d.data_id,

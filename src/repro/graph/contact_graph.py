@@ -464,18 +464,6 @@ class ContactGraph:
             )
         self._adjacency_version = self._version
 
-    def nbytes(self) -> int:
-        """Deep heap footprint of the graph's storage and caches in bytes.
-
-        Covers whichever storage mode is live (dense matrix or adjacency
-        dicts) plus every derived cache — CSR arrays, adjacency tuples,
-        materialised dense view, fingerprint — so a sparse graph whose
-        caches quietly re-densify shows up in the attribution.
-        """
-        from repro.obs.memory import deep_sizeof
-
-        return deep_sizeof(self)
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         mode = "sparse" if self._sparse else "dense"
         return (

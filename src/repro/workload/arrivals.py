@@ -29,8 +29,8 @@ New processes register with::
     class MyArrivals(ArrivalProcess):
         PARAMS = {"knob": 1.0}
 
-``scripts/check_workload_registry.py`` enforces that every registered
-name has a paired-determinism test.
+``tests/workload/test_arrivals_registry_lint.py`` enforces that every
+registered name has a paired-determinism test.
 """
 
 from __future__ import annotations

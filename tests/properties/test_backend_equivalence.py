@@ -10,7 +10,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.knapsack import KnapsackItem, KnapsackPool, solve_knapsack
 from repro.core.ncl import _reference_ncl_metrics, ncl_metrics
 from repro.graph.contact_graph import ContactGraph
 from repro.graph.paths import _reference_weight_matrix, shortest_path_weight_matrix
@@ -21,7 +20,7 @@ from repro.mathutils.hypoexponential import (
     pad_rate_rows,
 )
 from repro.traces.synthetic import SyntheticTraceConfig, generate_synthetic_trace
-from repro.units import DAY, MEGABIT, WEEK
+from repro.units import DAY, WEEK
 
 
 def _graph(seed=2, num_nodes=16):
@@ -77,28 +76,3 @@ def test_ncl_metrics_match_reference(seed):
     fast = ncl_metrics(graph, 1 * WEEK)
     slow = _reference_ncl_metrics(graph, 1 * WEEK)
     np.testing.assert_allclose(fast, slow, atol=1e-9, rtol=0)
-
-
-knapsack_instances = st.tuples(
-    st.lists(
-        st.tuples(
-            st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
-            st.integers(min_value=1, max_value=600 * MEGABIT),
-        ),
-        min_size=0,
-        max_size=24,
-    ),
-    st.integers(min_value=1, max_value=600 * MEGABIT),
-)
-
-
-@settings(max_examples=80, deadline=None)
-@given(instance=knapsack_instances)
-def test_knapsack_pool_matches_solve(instance):
-    raw, capacity = instance
-    items = [KnapsackItem(i, value, size) for i, (value, size) in enumerate(raw)]
-    direct = solve_knapsack(items, capacity)
-    pooled = KnapsackPool().solve(items, capacity)
-    assert direct == pooled
-    assert direct.total_size <= capacity
-

@@ -1,11 +1,17 @@
 """Property-based tests for the knapsack solver (Eq. 7)."""
 
 import itertools
+import math
 
 import hypothesis.strategies as st
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
-from repro.core.knapsack import KnapsackItem, _reference_knapsack_dp, solve_knapsack
+from repro.core.knapsack import (
+    KnapsackItem,
+    _keep_table,
+    _reference_knapsack_dp,
+    solve_knapsack,
+)
 
 small_items = st.lists(
     st.tuples(
@@ -82,3 +88,76 @@ def test_deterministic(raw, capacity):
     a = solve_knapsack(items, capacity)
     b = solve_knapsack(items, capacity)
     assert a.keys == b.keys
+
+
+# Values the strict ``>`` must get right: exact ties, zero, the smallest
+# subnormal, and 1e-17, which is below one ulp of a running sum of 1.0.
+corner_values = st.one_of(
+    st.sampled_from([0.0, 5e-324, 1e-17, 0.5, 1.0]),
+    st.floats(min_value=0.0, max_value=10.0, allow_nan=False),
+)
+
+
+@settings(max_examples=200)
+@given(
+    raw=st.lists(st.tuples(corner_values, st.integers(1, 64)), max_size=8),
+    cap_units=st.integers(min_value=1, max_value=64),
+)
+@example(raw=[(1.0, 1), (1e-17, 1)], cap_units=2)
+@example(raw=[(0.5, 2), (0.5, 2), (0.0, 1), (5e-324, 1), (0.5, 4)], cap_units=4)
+def test_numpy_keep_table_matches_reference(raw, cap_units):
+    values = [v for v, _ in raw]
+    sizes = [min(s, cap_units) for _, s in raw]
+    keep = _keep_table(values, sizes, cap_units)
+    assert keep.tolist() == _reference_knapsack_dp(values, sizes, cap_units)
+
+
+def _reference_solution(items, capacity, max_units):
+    """What the solver must return: the oracle table's traceback over
+    the quantised instance, then the oversize-singleton repair."""
+    resolution = 1 if capacity <= max_units else math.ceil(capacity / max_units)
+    cap_units = capacity // resolution
+    sizes = [math.ceil(item.size / resolution) for item in items]
+    feasible = [i for i, size in enumerate(sizes) if size <= cap_units]
+    keep = _reference_knapsack_dp(
+        [items[i].value for i in feasible], [sizes[i] for i in feasible], cap_units
+    )
+    chosen, w = [], cap_units
+    for row in range(len(feasible) - 1, -1, -1):
+        if keep[row][w]:
+            chosen.insert(0, items[feasible[row]])
+            w -= sizes[feasible[row]]
+    total = sum(item.value for item in chosen)
+    oversize = [
+        item
+        for item, size in zip(items, sizes)
+        if size > cap_units and item.size <= capacity
+    ]
+    if oversize:
+        single = max(oversize, key=lambda item: item.value)  # earliest on ties
+        if single.value > total:
+            return (single.key,), single.value, single.size
+    return tuple(item.key for item in chosen), total, sum(i.size for i in chosen)
+
+
+@settings(max_examples=300)
+@given(
+    raw=st.lists(st.tuples(corner_values, st.integers(1, 300)), max_size=10),
+    capacity=st.integers(min_value=1, max_value=300),
+    max_units=st.integers(min_value=1, max_value=64),
+)
+# Resolution 3: quantised sizes 1, 2, 2 overflow 3 units, so a table is filled.
+@example(raw=[(0.5, 3), (0.5, 4), (1.0, 5)], capacity=10, max_units=4)
+# Quantised sizes 1 + 2 + 1 fill the 4 units exactly: no table.
+@example(raw=[(1.0, 3), (0.0, 6), (1e-17, 3)], capacity=12, max_units=4)
+# Raw sizes sum to the capacity, quantised sizes 2 + 2 + 2 overflow 4 units.
+@example(raw=[(0.3, 4), (0.3, 4), (0.3, 4)], capacity=12, max_units=4)
+# 4097 bits rounds up to 2049 of 2048 units but truly fits.
+@example(raw=[(0.4, 10), (0.9, 4097)], capacity=4097, max_units=4096)
+def test_solver_matches_reference_traceback(raw, capacity, max_units):
+    items = [KnapsackItem(i, v, s) for i, (v, s) in enumerate(raw)]
+    solution = solve_knapsack(items, capacity, max_units)
+    keys, total_value, total_size = _reference_solution(items, capacity, max_units)
+    assert solution.keys == keys
+    assert solution.total_value == total_value
+    assert solution.total_size == total_size

@@ -1,7 +1,7 @@
 """Unit and paired-determinism tests for the arrival processes.
 
 ``DETERMINISM_PROCESSES`` is the contract enforced by
-``scripts/check_workload_registry.py``: every name registered in
+``test_arrivals_registry_lint.py``: every name registered in
 :data:`repro.workload.arrivals.ARRIVALS` must appear in this list, and
 this module runs the same-seed ⇒ same-query-stream test for each entry.
 """
