@@ -235,25 +235,17 @@ def _expected_delay_dijkstra(
     Both outputs are 2D, one row per requested source (all nodes when
     *sources* is ``None``).  Zero-rate entries are non-edges.
 
-    Dense graphs pass the dense cost matrix to scipy exactly as they
-    always have (its internal tie-breaking defines the pinned results);
-    sparse graphs hand over a CSR cost matrix built from the adjacency
-    structure, never allocating N×N.
+    Both storage modes hand scipy the CSR cost matrix built from
+    :meth:`ContactGraph.csr_rates`, never allocating N×N.  scipy turns a
+    dense cost matrix into this same CSR before it searches (row-major,
+    ascending columns, zero means no edge), so for a dense graph the
+    result, scipy's tie-breaking included, is that of a search on the
+    dense 1/λ matrix, except that a rate in (0, 1e-300) costs its exact
+    1/λ rather than a cost clamped at 1e300.
     """
-    if graph.is_sparse:
-        indptr, indices, data = graph.csr_rates()
-        n = graph.num_nodes
-        costs = _scipy_csr_matrix((1.0 / data, indices, indptr), shape=(n, n))
-        dist, predecessors = _csgraph_dijkstra(
-            costs,
-            directed=False,
-            indices=sources,
-            return_predecessors=True,
-        )
-        return np.atleast_2d(dist), np.atleast_2d(predecessors)
-    rates = graph.rate_matrix()
-    with np.errstate(divide="ignore"):
-        costs = np.where(rates > 0.0, 1.0 / np.maximum(rates, 1e-300), 0.0)
+    indptr, indices, data = graph.csr_rates()
+    n = graph.num_nodes
+    costs = _scipy_csr_matrix((1.0 / data, indices, indptr), shape=(n, n))
     dist, predecessors = _csgraph_dijkstra(
         costs,
         directed=False,

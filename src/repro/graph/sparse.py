@@ -8,7 +8,7 @@ metric (Eq. 3) actually needs — the weights to each node's *k nearest
 contacts* — with an early-stopped Dijkstra per source over the graph's
 CSR structure: the sweep settles exactly ``k`` destinations and stops,
 so per-source cost scales with the local neighbourhood, not with N, and
-no N×N array is ever allocated.
+no N×N array is ever allocated at scale.
 
 Truncation error: path weights decay with expected delay, and Dijkstra
 settles destinations in ascending expected-delay order, so the dropped
@@ -19,9 +19,14 @@ lower bound that converges monotonically to the exact metric as k grows
 
 The per-source sweep is a binary-heap Dijkstra keyed on the distinct
 pairs ``(dist, node)``, whose pop order any min-heap reproduces exactly.
-The dense :func:`_reference_knn_weight_rows` oracle runs the full
+Graphs below :data:`_SCIPY_MAX_NODES` nodes get the same rows from one
+all-sources scipy Dijkstra instead: the kept destinations are the first
+k of each distance row in ``(dist, node)`` order, and each one's
+predecessor is rebuilt with the heap's own tie rule, so the tree is the
+heap's and not the one scipy picks (:func:`_knn_rows_scipy`).  The
+dense :func:`_reference_knn_weight_rows` oracle runs the full
 pure-python reference Dijkstra and truncates afterwards; property tests
-pin the sparse kernel to it.
+pin the sparse kernel to it and both cores to each other byte for byte.
 """
 
 from __future__ import annotations
@@ -31,6 +36,8 @@ from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 import numpy as np
+from scipy.sparse import csr_matrix as _scipy_csr_matrix
+from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
 
 from repro.errors import PathError
 from repro.graph.contact_graph import ContactGraph
@@ -46,6 +53,12 @@ __all__ = ["KnnWeightRows", "knn_weight_rows", "knn_weight_matrix"]
 #: Sources per kernel batch: bounds the live hop-row scratch to
 #: ``_CHUNK_SOURCES * k`` rows regardless of graph size.
 _CHUNK_SOURCES = 2048
+
+#: Graphs with fewer nodes take :func:`_knn_rows_scipy`; larger ones the
+#: per-source heap of :func:`_knn_rows_core`.  scipy sweeps every node
+#: from every source, while the heap stops after k, so the heap wins
+#: once N is large against k (measured crossover: DESIGN.md §5c).
+_SCIPY_MAX_NODES = 1024
 
 
 @dataclass(frozen=True)
@@ -98,7 +111,10 @@ def knn_weight_rows(
 
     Runs one early-stopped sparse Dijkstra per source and scores all
     settled paths in chunked :func:`hypoexponential_cdf_batch` calls.
-    Memory is O(N·k + E); never O(N²).
+    Memory is O(N·k + E); never O(N²) at scale.  Graphs below
+    :data:`_SCIPY_MAX_NODES` nodes get the same rows from one scipy
+    sweep over all sources, whose scratch holds a few N×N arrays
+    (8 MB each just below the threshold).
     """
     if time_budget <= 0:
         raise PathError("time budget must be positive")
@@ -116,12 +132,13 @@ def _knn_weight_rows(
     n = graph.num_nodes
     k = min(int(k), max(n - 1, 1))
     indptr, indices, data = graph.csr_rates()
+    rows_core = _knn_rows_scipy if n < _SCIPY_MAX_NODES else _knn_rows_core
     counts_parts: List[np.ndarray] = []
     index_parts: List[np.ndarray] = []
     weight_parts: List[np.ndarray] = []
     for start in range(0, n, _CHUNK_SOURCES):
         sources = np.arange(start, min(start + _CHUNK_SOURCES, n), dtype=np.int64)
-        dest, hop_rows, counts = _knn_rows_core(indptr, indices, data, sources, k)
+        dest, hop_rows, counts = rows_core(indptr, indices, data, sources, k)
         valid = dest >= 0
         dest = dest[valid]
         rows = hop_rows[valid]
@@ -223,6 +240,97 @@ def _knn_rows_core(
                     heapq.heappush(heap, (candidate, nb))
         counts[t] = found
     return dest, hop_rows, counts
+
+
+def _knn_rows_scipy(
+    indptr: np.ndarray,
+    indices: np.ndarray,
+    data: np.ndarray,
+    sources: np.ndarray,
+    k: int,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`_knn_rows_core`'s output, byte for byte, from one scipy
+    Dijkstra over all *sources*.
+
+    * Distances: scipy sets each one to the minimum over in-neighbours u
+      of ``dist[u] + 1/λ_uv``, the float additions the heap makes; a
+      minimum does not depend on which tree either side keeps.
+    * Kept set: while every tree edge raises the distance, the heap pops
+      in ascending ``(dist, node)`` order, so its first k settled nodes
+      follow the source in a stable argsort of the distance row.
+    * Tree: relaxation is strict ``<`` in settle order, so the heap's
+      predecessor of v is the in-neighbour u with the smallest
+      ``(dist[u], u)`` among those where ``dist[u] + 1/λ_uv == dist[v]``,
+      and the hop rate is the entry in u's CSR row.  scipy's own
+      predecessors may pick another tree: k/T rates tie exactly, and the
+      tied trees carry different rate multisets.
+    * Guard: a predecessor as far as v itself (an edge cost below half
+      an ulp of the path cost) can reorder the heap's pops, so such a
+      chunk goes to the heap instead.
+    """
+    n = len(indptr) - 1
+    m = len(sources)
+    costs = 1.0 / data
+    dist = _csgraph_dijkstra(
+        _scipy_csr_matrix((costs, indices, indptr), shape=(n, n)),
+        directed=True,
+        indices=sources,
+    ).reshape(m, n)
+    order = np.argsort(dist, axis=1, kind="stable")
+    width = min(k, n - 1)
+    kept = order[:, 1 : width + 1]
+    kept_dist = np.take_along_axis(dist, kept, axis=1)
+    valid = np.isfinite(kept_dist)  # a prefix of each row
+    # CSR entries grouped by column: each node's in-edges, rows ascending.
+    by_col = np.argsort(indices, kind="stable")
+    in_ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(indices, minlength=n), out=in_ptr[1:])
+    edge_row = np.repeat(np.arange(n), np.diff(indptr))
+    # One entry per (kept pair, in-edge of its node).
+    src_of, slot_of = np.nonzero(valid)
+    node = kept[src_of, slot_of]
+    node_dist = kept_dist[src_of, slot_of]
+    lo = in_ptr[node]
+    deg = in_ptr[node + 1] - lo
+    first_entry = np.cumsum(deg) - deg
+    pair = np.repeat(np.arange(len(node)), deg)
+    edge = by_col[np.arange(len(pair)) + np.repeat(lo - first_entry, deg)]
+    relaxer = edge_row[edge]
+    relaxer_dist = dist[src_of[pair], relaxer]
+    ties = relaxer_dist + costs[edge] == node_dist[pair]
+    # Stable sort by (pair, dist of tied relaxer); entries already run in
+    # ascending relaxer id, so each pair's first entry is the heap's pick.
+    pick = np.lexsort((np.where(ties, relaxer_dist, np.inf), pair))[first_entry]
+    # Guard: every kept node has a tied relaxer strictly closer than
+    # itself.  (A node other than the source at distance 0 would fail it,
+    # so each row also starts at its source.)
+    if not (ties[pick].all() and (relaxer_dist[pick] < node_dist).all()):
+        return _knn_rows_core(indptr, indices, data, sources, k)
+    rank = np.empty_like(order)
+    np.put_along_axis(rank, order, np.arange(n), axis=1)
+    # Kept node j of source t owns hop row t*k + j; the extra last row is
+    # every source's own, all zeros.  A predecessor sorts before its
+    # node, so rows fill in slot order, each from its predecessor's
+    # left-aligned row plus one hop.
+    source_row = m * k
+    pred_rank = rank[src_of, relaxer[pick]]
+    pred_row = np.full((m, width), source_row, dtype=np.int64)
+    pred_row[src_of, slot_of] = np.where(
+        pred_rank > 0, src_of * k + pred_rank - 1, source_row
+    )
+    hop_rate = np.zeros((m, width))
+    hop_rate[src_of, slot_of] = data[edge[pick]]
+    hop_rows = np.zeros((source_row + 1, k))
+    depth = np.zeros(source_row + 1, dtype=np.int64)
+    first_row = np.arange(m) * k
+    for j in range(width):
+        row, parent = first_row + j, pred_row[:, j]
+        hop_rows[row] = hop_rows[parent]
+        depth[row] = depth[parent] + 1
+        hop_rows[row, depth[row] - 1] = hop_rate[:, j]
+    dest = np.full((m, k), -1, dtype=np.int64)
+    dest[:, :width] = np.where(valid, kept, -1)
+    return dest.reshape(-1), hop_rows[:source_row], valid.sum(axis=1)
 
 
 def knn_weight_matrix(

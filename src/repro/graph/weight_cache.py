@@ -34,8 +34,9 @@ skip the version bump (``graph.rates[i, j] = x``) raise instead of
 silently poisoning this cache — all mutation goes through
 ``ContactGraph.set_rate``/``set_rates``.
 
-Cached weight vectors are returned read-only (``ndarray.flags.writeable
-= False``); callers that need to mutate must copy.
+Cached weight vectors, matrices and k-NN row arrays are returned
+read-only (``ndarray.flags.writeable = False``); callers that need to
+mutate must copy.
 """
 
 from __future__ import annotations
@@ -240,7 +241,7 @@ class PathWeightCache:
         """Cached :func:`repro.graph.sparse.knn_weight_rows` (frozen rows).
 
         The CSR arrays inside the returned :class:`KnnWeightRows` are the
-        cached payload; treat them as read-only.
+        cached payload and are read-only.
         """
         prof = active_profiler()
         if prof.enabled:
@@ -250,6 +251,8 @@ class PathWeightCache:
         if cached is None:
             with maybe_span(prof, "weight_cache.knn_rows.miss"):
                 cached = knn_weight_rows(graph, time_budget, k, mode)
+            for array in (cached.indptr, cached.indices, cached.weights):
+                array.flags.writeable = False
             self._store(key, cached)
         elif prof.enabled:
             prof.add("weight_cache.knn_rows.hit", perf_counter() - t0)

@@ -22,9 +22,9 @@ Rules parse from compact CLI specs::
     delay_p95<=86400:3         # ceiling, sustained for 3 windows
     availability               # a named preset from SLO_PRESETS
 
-``scripts/check_slo_rules.py`` lints every registered preset against
-the actual :class:`HealthSnapshot` fields (pytest-wrapped), so a rule
-can never silently reference a metric that does not exist.
+``tests/obs/test_slo_rules_lint.py`` lints every registered preset
+against the actual :class:`HealthSnapshot` fields, so a rule can never
+silently reference a metric that does not exist.
 """
 
 from __future__ import annotations
@@ -108,8 +108,8 @@ class SLORule:
 
 #: Named starting-point objectives for ``repro serve --slo <name>``.
 #: Targets assume the paper-scale workload (delays in seconds); tune per
-#: deployment.  The lint in ``scripts/check_slo_rules.py`` pins every
-#: preset to a real HealthSnapshot field.
+#: deployment.  The lint in ``tests/obs/test_slo_rules_lint.py`` pins
+#: every preset to a real HealthSnapshot field.
 SLO_PRESETS: Dict[str, SLORule] = {
     "availability": SLORule(
         "availability", "success_ratio", ">=", 0.25, sustain=3

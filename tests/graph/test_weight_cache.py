@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.ncl import sparse_ncl_metrics
 from repro.graph import weight_cache
 from repro.graph.contact_graph import ContactGraph
 from repro.graph.paths import (
@@ -62,6 +63,18 @@ class TestPathWeightCache:
         weights = cache.weights(graph, 0, 10.0)
         with pytest.raises(ValueError):
             weights[0] = 99.0
+
+    def test_cached_knn_rows_are_read_only(self, graph):
+        shared_weight_cache().clear()
+        before = sparse_ncl_metrics(graph, 10.0, k=3)
+        rows = shared_weight_cache().knn_rows(graph, 10.0, 3)
+        for array in (rows.indptr, rows.indices, rows.weights):
+            with pytest.raises(ValueError):
+                array[:] = 0
+        # The metric reads the same cached rows, untouched.
+        assert sparse_ncl_metrics(graph, 10.0, k=3).tobytes() == before.tobytes()
+        assert shared_weight_cache().misses == 1
+        shared_weight_cache().clear()
 
     def test_mutation_invalidates(self, graph):
         cache = PathWeightCache()

@@ -9,7 +9,9 @@ graphs) that motivated the fallback machinery.
 
 import hypothesis.strategies as st
 import numpy as np
+import pytest
 from hypothesis import given, settings
+from scipy.sparse.csgraph import dijkstra
 
 from repro.core.ncl import _reference_ncl_metrics, ncl_metrics
 from repro.graph import paths
@@ -21,6 +23,7 @@ from repro.graph.paths import (
     shortest_path_weight_rows,
     shortest_path_weights_from,
 )
+from repro.mathutils import hypoexponential
 from repro.mathutils.hypoexponential import (
     hypoexponential_cdf,
     hypoexponential_cdf_batch,
@@ -73,6 +76,66 @@ def test_batch_cdf_accepts_padded_matrix_form(rows, t):
     ragged = hypoexponential_cdf_batch(rows, t)
     padded = hypoexponential_cdf_batch(pad_rate_rows(rows), t)
     np.testing.assert_array_equal(ragged, padded)
+
+
+#: trace-style rates: few distinct values, so rows repeat and tie
+quantised_rate = st.integers(min_value=1, max_value=8).map(lambda c: c / 8.0)
+
+
+@st.composite
+def duplicated_batches(draw):
+    """Batches past the dedup threshold drawn from a small vocabulary:
+    repeated rows, the same row at several times, zero-hop rows, and
+    repeated-rate rows that take the expm fallback."""
+    vocabulary = draw(
+        st.lists(
+            st.one_of(
+                st.lists(quantised_rate, max_size=5),
+                st.tuples(quantised_rate, st.integers(min_value=2, max_value=4)).map(
+                    lambda pair: [pair[0]] * pair[1]
+                ),
+            ),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    times = draw(
+        st.lists(
+            st.sampled_from([0.0, 0.5, 3.0]) | st.floats(min_value=0.0, max_value=1e3),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    picks = draw(
+        st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=len(vocabulary) - 1),
+                st.integers(min_value=0, max_value=len(times) - 1),
+            ),
+            min_size=hypoexponential._DEDUP_MIN_ROWS,
+            max_size=160,
+        )
+    )
+    rows = pad_rate_rows([vocabulary[i] for i, _ in picks])
+    if draw(st.booleans()):
+        return rows, times[0]
+    return rows, np.array([times[j] for _, j in picks])
+
+
+@settings(max_examples=40, deadline=None)
+@given(batch=duplicated_batches())
+def test_batch_dedup_is_invisible(batch):
+    """Collapsing duplicate (row, t) pairs must not move a bit: each
+    batch equals itself evaluated with the collapse disabled, both from
+    a cold expm memo."""
+    rows, t = batch
+    hypoexponential._MATRIX_CDF_CACHE.clear()
+    deduped = hypoexponential_cdf_batch(rows, t)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(hypoexponential, "_DEDUP_MIN_ROWS", len(rows) + 1)
+        hypoexponential._MATRIX_CDF_CACHE.clear()
+        whole = hypoexponential_cdf_batch(rows, t)
+    assert deduped.tobytes() == whole.tobytes()
 
 
 def _random_graph(num_nodes: int, edge_probability: float, seed: int) -> ContactGraph:
@@ -147,6 +210,38 @@ def test_weight_matrix_rows_are_single_source_sweeps(num_nodes, edge_probability
             atol=1e-7,
             rtol=0,
         )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    num_nodes=st.integers(min_value=2, max_value=30),
+    edge_probability=st.floats(min_value=0.0, max_value=0.6),
+    seed=st.integers(min_value=0, max_value=2**16),
+    all_sources=st.booleans(),
+)
+def test_dense_sweeps_match_scipy_on_the_dense_cost_matrix(
+    num_nodes, edge_probability, seed, all_sources
+):
+    """Dense graphs hand scipy the CSR cost matrix; scipy converts a
+    dense matrix to that same CSR, so distances and predecessors equal
+    a search on the dense 1/λ matrix byte for byte, quantised-rate ties
+    included."""
+    rng = np.random.default_rng(seed)
+    rates = np.zeros((num_nodes, num_nodes))
+    for i in range(num_nodes):
+        for j in range(i + 1, num_nodes):
+            if rng.random() < edge_probability:
+                rates[i, j] = rates[j, i] = rng.integers(1, 4) / 8.0
+    graph = ContactGraph.from_rate_matrix(rates, sparse=False)
+    sources = None if all_sources else [int(s) for s in rng.integers(0, num_nodes, 3)]
+    dist, pred = paths._expected_delay_dijkstra(graph, sources)
+    with np.errstate(divide="ignore"):
+        costs = np.where(rates > 0.0, 1.0 / np.maximum(rates, 1e-300), 0.0)
+    want_dist, want_pred = dijkstra(
+        costs, directed=False, indices=sources, return_predecessors=True
+    )
+    assert dist.tobytes() == np.atleast_2d(want_dist).tobytes()
+    assert pred.tobytes() == np.atleast_2d(want_pred).tobytes()
 
 
 def _single_source_sweep(graph: ContactGraph, source: int, budget: float) -> np.ndarray:

@@ -10,6 +10,8 @@ The scale-out path must never change answers, only cost:
   the exact ``ncl_metrics``;
 * storage mode is invisible: a forced-sparse graph produces bitwise the
   same kernel outputs as the same rates stored densely;
+* the kernel's two cores — scipy distances plus the heap's tie rule, and
+  the per-source heap — return byte-identical rows on any graph;
 * end-to-end, a forced-sparse run equals a forced-dense run bitwise
   when both use the same (k-NN) metric, serial and with workers=4.
 """
@@ -19,7 +21,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.ncl import (
@@ -30,6 +32,8 @@ from repro.core.ncl import (
 from repro.graph.contact_graph import ContactGraph
 from repro.graph.paths import shortest_path_weight_matrix
 from repro.graph.sparse import (
+    _knn_rows_core,
+    _knn_rows_scipy,
     _reference_knn_weight_rows,
     knn_weight_matrix,
     knn_weight_rows,
@@ -125,6 +129,67 @@ def test_sparse_ncl_metrics_match_oracle_and_dense(contacts_per_node):
     shared_weight_cache().clear()
     exact = ncl_metrics(graph, 1 * WEEK)
     np.testing.assert_allclose(sparse, exact, atol=1e-9, rtol=0)
+
+
+# --- the two k-NN cores agree byte for byte -------------------------------
+
+#: trace-style rates count/elapsed over one day: exact ties are common
+quantised_rates = st.integers(min_value=1, max_value=4).map(lambda c: c / 86400.0)
+continuous_rates = st.floats(min_value=1e-6, max_value=1e-2, allow_nan=False)
+
+
+@st.composite
+def knn_core_cases(draw):
+    """(n, edges, k) with quantised or continuous rates, any k."""
+    n = draw(st.integers(min_value=1, max_value=30))
+    rates = quantised_rates if draw(st.booleans()) else continuous_rates
+    node = st.integers(min_value=0, max_value=n - 1)
+    edges = draw(st.lists(st.tuples(node, node, rates), max_size=3 * n))
+    return n, [(i, j, rate) for i, j, rate in edges if i != j], draw(
+        st.integers(min_value=1, max_value=40)
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=knn_core_cases(), sparse=st.booleans())
+# From node 0 the heap settles 2, 3, 1 (the 3–1 hop costs less than half
+# an ulp of 1.0), not the (dist, node) order 1, 2, 3: the guard's case.
+@example(case=(4, [(0, 2, 1.0), (0, 3, 1.0), (3, 1, 1e20)], 3), sparse=True)
+# Infinite rates cost nothing: nodes 0 and 1 sort ahead of source 4.
+@example(
+    case=(5, [(4, 0, math.inf), (4, 1, math.inf), (1, 2, 1.0), (3, 2, 2.0)], 4),
+    sparse=True,
+)
+@example(case=(1, [], 5), sparse=True)
+@example(case=(2, [(0, 1, 0.5)], 1), sparse=False)
+@example(case=(2, [], 4), sparse=True)
+# k >= n - 1 and three components (two of them isolated nodes).
+@example(case=(7, [(0, 1, 0.25), (1, 2, 0.5), (4, 5, 1.0)], 9), sparse=True)
+# Node 3 is reached at cost 5 through 2 (1 + 4) and through 1 (2 + 3):
+# the heap keeps the closer relaxer 2, not the smaller id 1.
+@example(
+    case=(4, [(0, 2, 1.0), (2, 3, 0.25), (0, 1, 0.5), (1, 3, 1 / 3)], 3), sparse=True
+)
+# Node 3 has two relaxers at distance 2, 1 direct and 2 over two hops:
+# the heap keeps the smaller id 1, so node 3's path is 0–1–3, not 0–4–2–3.
+@example(
+    case=(5, [(0, 1, 0.5), (0, 4, 1.0), (4, 2, 1.0), (1, 3, 0.5), (2, 3, 0.5)], 4),
+    sparse=False,
+)
+def test_knn_cores_are_byte_identical(case, sparse):
+    """scipy distances plus the heap's tie rule rebuild the heap's rows
+    exactly.  Every other tier-1 graph is small enough to take the scipy
+    core, so this is where the heap core runs in tier-1."""
+    n, edges, k = case
+    graph = ContactGraph.from_edges(n, edges, sparse=sparse)
+    indptr, indices, data = graph.csr_rates()
+    sources = np.arange(n, dtype=np.int64)
+    k = min(k, max(n - 1, 1))  # as knn_weight_rows clips it
+    fast = _knn_rows_scipy(indptr, indices, data, sources, k)
+    heap = _knn_rows_core(indptr, indices, data, sources, k)
+    for name, a, b in zip(("dest", "hop_rows", "counts"), fast, heap):
+        assert (a.dtype, a.shape) == (b.dtype, b.shape), name
+        assert a.tobytes() == b.tobytes(), name
 
 
 # --- monotone convergence in k --------------------------------------------
