@@ -79,7 +79,7 @@ def test_bench_large_setup_1e5(benchmark):
     """Stream → sparse graph → k-NN NCL selection at the full 10⁵ nodes.
 
     This is the pure scale-out path: no dense matrix may be allocated
-    anywhere (``rate_matrix()`` raises on sparse graphs above the
+    anywhere (``rates`` raises on sparse graphs above the
     threshold), and the whole setup must fit the documented budget.
 
     ``ru_maxrss`` is a process-wide high-water mark, so this test must

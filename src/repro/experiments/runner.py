@@ -29,7 +29,7 @@ import dataclasses
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
 from repro.caching.base import CachingScheme
 from repro.errors import SimulationError
@@ -65,6 +65,9 @@ _Task = Tuple[
 
 #: Fresh-pool attempts after worker crashes before giving up.
 _MAX_POOL_RETRIES = 2
+
+_T = TypeVar("_T")
+_R = TypeVar("_R")
 
 
 @dataclass
@@ -118,14 +121,20 @@ def _execute_task(task: _Task) -> _Outcome:
 
 
 def _execute_all(
-    tasks: Sequence[_Task],
+    run: Callable[[_T], _R],
+    tasks: Sequence[_T],
     workers: Optional[int],
     max_retries: int = _MAX_POOL_RETRIES,
-) -> List[_Outcome]:
-    """Run tasks serially or on a process pool, preserving input order.
+) -> List[_R]:
+    """Apply *run* to every task, serially or on a process pool,
+    preserving input order.
 
     ``workers`` of ``None``/``0``/``1`` means serial — the default, so
-    the pool (and its pickling constraints) is strictly opt-in.
+    the pool (and its pickling constraints) is strictly opt-in.  *run*
+    must be a module-level function so it pickles under any start
+    method; every parallel runner of the package (the seeded runs here
+    and :func:`repro.experiments.serve.serve_repeated`) goes through
+    this one pool.
 
     The parallel path is fault-tolerant: results are slotted by *task
     index*, and when a worker crash breaks the pool the still-unfinished
@@ -137,12 +146,12 @@ def _execute_all(
     deterministic and propagate immediately instead of being retried.
     """
     if not workers or workers <= 1 or len(tasks) <= 1:
-        return [_execute_task(task) for task in tasks]
-    results: List[Optional[_Outcome]] = [None] * len(tasks)
+        return [run(task) for task in tasks]
+    results: Dict[int, _R] = {}
     pending = list(range(len(tasks)))
     for attempt in range(max_retries + 1):
         with ProcessPoolExecutor(max_workers=min(workers, len(pending))) as pool:
-            futures = {index: pool.submit(_execute_task, tasks[index]) for index in pending}
+            futures = {index: pool.submit(run, tasks[index]) for index in pending}
             broken = False
             for index, future in futures.items():
                 try:
@@ -150,10 +159,10 @@ def _execute_all(
                 except BrokenProcessPool:
                     # A worker died (crash/OOM/os._exit); every future
                     # still in flight on this pool fails the same way.
-                    # Leave those slots None and retry them on a fresh
+                    # Leave those slots empty and retry them on a fresh
                     # pool below.
                     broken = True
-        pending = [index for index in pending if results[index] is None]
+        pending = [index for index in pending if index not in results]
         if not broken or not pending:
             break
     if pending:
@@ -161,9 +170,9 @@ def _execute_all(
             f"parallel runner gave up on {len(pending)} task(s) after "
             f"{max_retries + 1} pool attempts (repeated worker crashes)"
         )
-    # Slots are filled in task-index order, which is seed order; the
+    # Slots are read back in task-index order, which is seed order; the
     # aggregate is therefore bitwise-identical to the serial path.
-    return [result for result in results if result is not None]
+    return [results[index] for index in range(len(tasks))]
 
 
 def run_repeated(
@@ -185,9 +194,8 @@ def run_repeated(
     tasks: List[_Task] = [
         (trace, scheme_factory, workload, seed, None) for seed in seeds
     ]
-    return aggregate_results(
-        [result for result, _ in _execute_all(tasks, workers, max_retries)]
-    )
+    outcomes = _execute_all(_execute_task, tasks, workers, max_retries)
+    return aggregate_results([result for result, _ in outcomes])
 
 
 def run_comparison(
@@ -209,7 +217,7 @@ def run_comparison(
         for name in names
         for seed in seeds
     ]
-    outcomes = _execute_all(tasks, workers, max_retries)
+    outcomes = _execute_all(_execute_task, tasks, workers, max_retries)
     per_scheme: Dict[str, List[SimulationResult]] = {name: [] for name in names}
     for (name, _seed), (result, _telemetry) in zip(
         ((name, seed) for name in names for seed in seeds), outcomes
@@ -315,7 +323,7 @@ def run_experiment(
     tasks: List[_Task] = [
         (trace, scheme_factory, workload, seed, base) for seed in seeds
     ]
-    outcomes = _execute_all(tasks, workers, max_retries)
+    outcomes = _execute_all(_execute_task, tasks, workers, max_retries)
     results = [result for result, _ in outcomes]
     telemetries = [t for _, t in outcomes if t is not None]
     registry, profile, timeseries = _merge_telemetry(telemetries)

@@ -32,12 +32,12 @@ from __future__ import annotations
 
 import dataclasses
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.caching.base import CachingScheme
 from repro.errors import ConfigurationError
+from repro.experiments.runner import _execute_all
 from repro.metrics.results import SimulationResult
 from repro.obs.health import HealthMonitor, HealthReport, check_health_consistency
 from repro.obs.memory import MemorySample
@@ -243,6 +243,9 @@ def serve_repeated(
     on every deterministic field (wall-clock times naturally differ).
     Health snapshots and SLO verdicts derive only from simulated time
     and collector counters, so they are part of that bitwise payload.
+    The pool is the experiment runner's: a worker crash retries the
+    unfinished sessions on a fresh pool, and a session's own exception
+    propagates.
     """
     base = config or SimulatorConfig()
     rules = tuple(slo_rules)
@@ -259,10 +262,7 @@ def serve_repeated(
         )
         for seed in seeds
     ]
-    if not workers or workers <= 1 or len(tasks) <= 1:
-        return [_serve_task(task) for task in tasks]
-    with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
-        return list(pool.map(_serve_task, tasks))
+    return _execute_all(_serve_task, tasks, workers)
 
 
 def summarize_throughput(batches: Sequence[BatchResult]) -> dict:

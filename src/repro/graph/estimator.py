@@ -112,15 +112,18 @@ class OnlineContactGraphEstimator:
 
     def snapshot(self, now: float) -> ContactGraph:
         """A fresh :class:`ContactGraph` of the rate estimates at time *now*."""
-        graph = ContactGraph(self._num_nodes, sparse=self._sparse)
         elapsed = now - self._origin
-        if elapsed > 0:
-            graph.set_edge_rates(
+        if elapsed <= 0:
+            return ContactGraph(self._num_nodes, sparse=self._sparse)
+        return ContactGraph(
+            self._num_nodes,
+            (
                 (i, j, estimator.count / elapsed)
                 for (i, j), estimator in self._estimators.items()
                 if i not in self._inactive and j not in self._inactive
-            )
-        return graph
+            ),
+            sparse=self._sparse,
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

@@ -435,7 +435,7 @@ def _shortest_path_weight_matrix(
             [shortest_path_weights_from(graph, s, time_budget, mode) for s in range(n)]
         )
     dist, pred = _expected_delay_dijkstra(graph)
-    rates = graph.rate_matrix()
+    rates = graph.rates
     # Rates are symmetric and Eq. (2) is invariant under hop reordering,
     # so p_ij = p_ji: only the upper triangle of reachable pairs is
     # evaluated.  The Dijkstra pass is scipy's C implementation — its

@@ -1,4 +1,4 @@
-"""Graph-versioned LRU cache of path-weight computations.
+"""Content-keyed LRU cache of path-weight computations.
 
 Every consumer of the contact graph — NCL selection (Eq. 3), the
 push/pull gradient routers, response strategies, and time-budget
@@ -16,23 +16,18 @@ GRAPH_REFRESH each refills its table with one
 computes the missing vectors in one batched sweep; the second reads
 them back.  Per-contact decisions then never touch the cache.
 
-Keying / invalidation contract
-------------------------------
+Keying contract
+---------------
 Entries are keyed on ``(graph.fingerprint(), source, time_budget, mode)``.
-The fingerprint is a content digest of the rate matrix, lazily computed
-and invalidated by the graph's monotone :attr:`ContactGraph.version`
-bump on mutation.  Content keying (rather than instance keying) is what
-lets two *different* snapshot instances with identical rates share one
+The fingerprint is a content digest of the rates, computed once per
+graph.  Content keying (rather than instance keying) is what lets two
+*different* snapshot instances with identical rates share one
 computation.  Every snapshot divides the pairs' contact counts by the
 elapsed time, so only snapshots built at the same simulated instant
 share rates: a churn-triggered refresh landing on a periodic one, or
-the runs of several schemes over one trace.  A mutated graph gets a new
-fingerprint, so stale reads are impossible by construction; eviction is
-plain LRU.  The graph enforces its side of the contract by keeping the
-rate matrix non-writable at rest: in-place ``numpy`` writes that would
-skip the version bump (``graph.rates[i, j] = x``) raise instead of
-silently poisoning this cache — all mutation goes through
-``ContactGraph.set_rate``/``set_rates``.
+the runs of several schemes over one trace.  A graph never changes
+after it is built and its rate matrix is read-only, so an entry can
+never describe other rates than its key's; eviction is plain LRU.
 
 Cached weight vectors, matrices and k-NN row arrays are returned
 read-only (``ndarray.flags.writeable = False``); callers that need to

@@ -63,7 +63,7 @@ __all__ = [
 ]
 
 #: The attribution universe.  Accountants register under exactly these
-#: names; ``scripts/check_memory_accountants.py`` AST-reads this literal
+#: names; ``tests/obs/test_memory_lint.py`` AST-reads this literal
 #: and demands (a) the simulator registers every name and (b) the test
 #: corpus cross-checks each against an ``oracle_nbytes_<name>`` oracle.
 SUBSYSTEMS = {

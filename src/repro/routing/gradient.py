@@ -60,11 +60,10 @@ class GradientRouter(ObservableRouter):
         self._horizon = float(horizon)
         self._mode = mode
         self._replicate = replicate
-        # Weight vectors of the snapshot ``(self._graph, self._version)``,
-        # keyed by destination, and the destinations routed toward since
-        # that snapshot was installed.
+        # Weight vectors of the snapshot ``self._graph``, keyed by
+        # destination, and the destinations routed toward since that
+        # snapshot was installed.
         self._graph: Optional[ContactGraph] = None
-        self._version = -1
         self._vectors: Dict[int, np.ndarray] = {}
         self._routed: Set[int] = set()
 
@@ -75,11 +74,10 @@ class GradientRouter(ObservableRouter):
     def update_graph(self, graph: ContactGraph) -> None:
         """Install a fresh rate snapshot.
 
-        Nothing is computed here.  The weight table is keyed on
-        ``(graph, graph.version)`` and refills on the first decision
-        against any other graph or version — including an in-place
-        ``set_rate`` on the installed instance — so a snapshot that no
-        bundle routes over costs nothing.
+        Nothing is computed here.  The weight table belongs to the graph
+        instance it was filled for (graphs never change after they are
+        built) and refills on the first decision against any other
+        graph, so a snapshot that no bundle routes over costs nothing.
         """
 
     def weight_to(self, node: int, destination: int, graph: ContactGraph) -> float:
@@ -92,14 +90,15 @@ class GradientRouter(ObservableRouter):
         A new snapshot refills the table in one batched cache call that
         covers the destinations routed toward during the previous
         snapshot; a destination first seen in this snapshot is fetched
-        on its own.
+        on its own.  The router holds the graph it keys on, so the
+        identity test cannot match a new graph at a reused address.
         """
-        if graph is not self._graph or graph.version != self._version:
+        if graph is not self._graph:
             carried = sorted(self._routed)
             vectors = shared_weight_cache().weight_rows(
                 graph, carried, self._horizon, self._mode
             )
-            self._graph, self._version = graph, graph.version
+            self._graph = graph
             self._vectors = dict(zip(carried, vectors))
             self._routed = set()
         self._routed.add(destination)

@@ -39,17 +39,16 @@ class RateGradientRouter(ObservableRouter):
     def __init__(self, replicate: bool = False):
         self._replicate = replicate
         self._graph: Optional[ContactGraph] = None
-        self._version = -1
         self._aggregate: Optional[np.ndarray] = None
         self._hub_scale: float = 1.0
 
     def update_graph(self, graph: ContactGraph) -> None:
         """Recompute the hubness scores unless they already describe
-        *graph* at its current version (an in-place ``set_rate`` on the
-        installed instance bumps the version, so it recomputes too)."""
-        if graph is self._graph and graph.version == self._version:
+        *graph* (graphs never change after they are built, and the
+        router holds the one it scored, so identity is enough)."""
+        if graph is self._graph:
             return
-        self._graph, self._version = graph, graph.version
+        self._graph = graph
         # CSR-based: identical in both storage modes, never N×N.
         self._aggregate = graph.aggregate_rates()
         max_aggregate = float(self._aggregate.max()) if self._aggregate.size else 0.0

@@ -5,8 +5,8 @@ names — the caching scheme, the trace source, a response strategy, a
 router — resolves through one of these registries.  The registries are
 the single source of truth for "what can a scenario file say": the CLI
 lists them (``--list-schemes``), builders resolve through them, and
-``scripts/check_registry.py`` asserts every registered name is smoke
-tested and round-trips through scenario JSON.
+``tests/scenario/test_registry_lint.py`` asserts every registered name
+is smoke tested and round-trips through scenario JSON.
 
 Registration order is preserved (it defines CLI/compare ordering), and
 extensions register their own entries::

@@ -230,8 +230,8 @@ class Simulator:
         self._serve_cycle = 0
         self._serve_index = 0
         self._round_cursor: Dict[EventKind, int] = {}
-        # One-ahead stream feed (bounded-memory trace path): the live
-        # evaluation-contact iterator and the next contact to schedule.
+        # One-ahead contact feed: the live evaluation-contact iterator
+        # and the next contact to schedule.
         self._contact_feed: Optional[Iterator[Contact]] = None
         self._next_contact: Optional[Contact] = None
 
@@ -250,10 +250,11 @@ class Simulator:
     def _handle_contact(self, event: Event) -> None:
         contact: Contact = event.payload
         if self._contact_feed is not None:
-            # One-ahead feed: pull the stream's next contact while this
-            # one is handled.  Contacts enter the queue in stream (time)
-            # order, so their relative sequence numbers — and hence the
-            # full event order — match up-front scheduling exactly.
+            # One-ahead feed: pull the trace's next contact while this
+            # one is handled.  Contacts enter the queue in trace (time)
+            # order, one at a time, and the engine orders events by
+            # time, kind priority and then sequence, so the event order
+            # is the one scheduling every contact up front would give.
             upcoming = next(self._contact_feed, None)
             if upcoming is None:
                 self._contact_feed = None
@@ -475,7 +476,7 @@ class Simulator:
         """Zero-argument byte accountants, one per memory subsystem.
 
         The literal keys below are the contract that
-        ``scripts/check_memory_accountants.py`` cross-checks against
+        ``tests/obs/test_memory_lint.py`` cross-checks against
         :data:`repro.obs.memory.SUBSYSTEMS`: a new state holder must be
         added in both places (plus an oracle test) or the lint fails.
         """
@@ -624,14 +625,12 @@ class Simulator:
 
     def _run(self) -> SimulationResult:
         warmup_end = self.warmup_end
-        eval_contacts = self._warmup()
+        self._warmup()
         self._announce_flash_window(warmup_end)
         self._prepare(warmup_end)
-        for contact in eval_contacts:
-            self.engine.schedule(contact.start, EventKind.CONTACT, contact)
         if self._next_contact is not None:
-            # Streaming path: seed the one-ahead feed with the first
-            # evaluation contact; _handle_contact pulls the rest.
+            # Seed the one-ahead feed with the first evaluation contact;
+            # _handle_contact pulls the rest.
             self.engine.schedule(
                 self._next_contact.start, EventKind.CONTACT, self._next_contact
             )
@@ -649,38 +648,27 @@ class Simulator:
 
     # --- run phases (shared with serve mode) ------------------------------
 
-    def _warmup(self) -> List[Contact]:
-        """Phase 1: feed the estimator; return the evaluation contacts.
+    def _warmup(self) -> None:
+        """Phase 1: feed the estimator, then park the evaluation feed.
 
-        On a lazy :class:`~repro.traces.stream.ContactStream` the
-        evaluation half is *not* collected: warm-up consumes the stream
-        up to the midpoint, then parks the live iterator and its first
-        evaluation contact for the one-ahead feed — peak memory is one
+        Warm-up consumes the trace up to the midpoint, then parks the
+        live iterator and its first evaluation contact for the one-ahead
+        feed.  The evaluation half is never collected, so on a lazy
+        :class:`~repro.traces.stream.ContactStream` peak memory is one
         contact, not half the trace.
         """
         warmup_end = self.warmup_end
-        eval_contacts: List[Contact] = []
-        if isinstance(self.trace, ContactTrace):
-            for contact in self.trace:
-                if contact.start < warmup_end:
-                    self.estimator.record_contact(
-                        contact.node_a, contact.node_b, contact.start
-                    )
-                else:
-                    eval_contacts.append(contact)
-        else:
-            feed = iter(self.trace)
-            for contact in feed:
-                if contact.start < warmup_end:
-                    self.estimator.record_contact(
-                        contact.node_a, contact.node_b, contact.start
-                    )
-                else:
-                    self._contact_feed = feed
-                    self._next_contact = contact
-                    break
+        feed = iter(self.trace)
+        for contact in feed:
+            if contact.start < warmup_end:
+                self.estimator.record_contact(
+                    contact.node_a, contact.node_b, contact.start
+                )
+            else:
+                self._contact_feed = feed
+                self._next_contact = contact
+                break
         self.workload_process.set_window(warmup_end, self.trace.end_time)
-        return eval_contacts
 
     def _announce_flash_window(self, warmup_end: float) -> None:
         """One-time trace announcement of the workload's surge window.
@@ -807,7 +795,11 @@ class Simulator:
             )
         self._ran = True
         self._session_active = True
-        self._eval_contacts = self._warmup()
+        self._warmup()
+        if self._next_contact is not None:
+            assert self._contact_feed is not None
+            self._eval_contacts = [self._next_contact, *self._contact_feed]
+        self._contact_feed = self._next_contact = None
         self._announce_flash_window(self.warmup_end)
         self._prepare(self.warmup_end)
 

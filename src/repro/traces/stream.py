@@ -6,11 +6,11 @@ as a python object up front — fine for the paper's Table I traces
 millions.  A :class:`ContactStream` is the lazy counterpart: declared
 metadata (node count, time extent) plus a replayable, time-sorted
 iterator of :class:`~repro.traces.contact.Contact` records.  The
-simulator feeds itself one contact ahead from the stream, so peak
-memory is one in-flight contact regardless of trace length, and the
-event order — hence every result — is identical to the materialised
-path (contacts arrive in the same sorted order with the same relative
-sequence numbers; see ``Simulator._warmup``).
+simulator feeds itself one contact ahead from any trace, so with a
+stream peak memory is one in-flight contact regardless of trace length,
+and the event order — hence every result — is identical to the
+materialised trace's (contacts arrive in the same sorted order; see
+``Simulator._warmup``).
 
 ``materialize()`` is the explicit escape hatch back to a
 :class:`ContactTrace` for consumers that genuinely need random access

@@ -80,9 +80,8 @@ class SchemeHarness:
 def hub_spoke_graph() -> ContactGraph:
     """Node 0 is a strong hub; 1-4 are leaves; node 5 is a second-tier
     relay between leaf 4 and the hub."""
-    graph = ContactGraph(6)
-    for leaf in (1, 2, 3):
-        graph.set_rate(0, leaf, 2.0 / HOUR)
-    graph.set_rate(0, 5, 4.0 / HOUR)
-    graph.set_rate(5, 4, 2.0 / HOUR)
-    return graph
+    return ContactGraph(
+        6,
+        [(0, leaf, 2.0 / HOUR) for leaf in (1, 2, 3)]
+        + [(0, 5, 4.0 / HOUR), (5, 4, 2.0 / HOUR)],
+    )

@@ -19,20 +19,15 @@ def rng() -> np.random.Generator:
 @pytest.fixture
 def line_graph() -> ContactGraph:
     """0 - 1 - 2 - 3 chain with decreasing rates."""
-    graph = ContactGraph(4)
-    graph.set_rate(0, 1, 1.0 / HOUR)
-    graph.set_rate(1, 2, 1.0 / (2 * HOUR))
-    graph.set_rate(2, 3, 1.0 / (4 * HOUR))
-    return graph
+    return ContactGraph(
+        4, [(0, 1, 1.0 / HOUR), (1, 2, 1.0 / (2 * HOUR)), (2, 3, 1.0 / (4 * HOUR))]
+    )
 
 
 @pytest.fixture
 def star_graph() -> ContactGraph:
     """Hub node 0 connected to five leaves; leaves are not connected."""
-    graph = ContactGraph(6)
-    for leaf in range(1, 6):
-        graph.set_rate(0, leaf, 1.0 / HOUR)
-    return graph
+    return ContactGraph(6, [(0, leaf, 1.0 / HOUR) for leaf in range(1, 6)])
 
 
 @pytest.fixture

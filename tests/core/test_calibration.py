@@ -38,8 +38,7 @@ class TestCalibration:
         assert sampled == pytest.approx(full, rel=1.0)  # same order of magnitude
 
     def test_disconnected_graph_returns_finite_budget(self):
-        graph = ContactGraph(4)
-        graph.set_rate(0, 1, 1.0 / HOUR)
+        graph = ContactGraph(4, [(0, 1, 1.0 / HOUR)])
         # nodes 2, 3 unreachable: median metric can never reach 0.5
         budget = calibrate_time_budget(graph, target_median=0.9)
         assert np.isfinite(budget) and budget > 0

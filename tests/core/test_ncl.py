@@ -32,8 +32,7 @@ class TestMetric:
         assert long > short
 
     def test_isolated_node_has_zero_metric(self):
-        graph = ContactGraph(3)
-        graph.set_rate(0, 1, 0.5)
+        graph = ContactGraph(3, [(0, 1, 0.5)])
         metrics = ncl_metrics(graph, time_budget=100.0)
         assert metrics[2] == 0.0
 
@@ -64,9 +63,7 @@ class TestSelection:
             assert selection.best_weight(central) == 1.0
 
     def test_disconnected_node_has_no_central(self):
-        graph = ContactGraph(4)
-        graph.set_rate(0, 1, 0.5)
-        graph.set_rate(0, 2, 0.5)
+        graph = ContactGraph(4, [(0, 1, 0.5), (0, 2, 0.5)])
         selection = select_ncls(graph, k=1, time_budget=100.0)
         assert selection.nearest_central[3] == -1
         assert selection.best_weight(3) == 0.0
@@ -91,11 +88,11 @@ class TestSelection:
 
     def test_skewed_graph_selects_hubs(self):
         # two-community graph: nodes 0 and 5 are community hubs.
-        graph = ContactGraph(10)
-        for leaf in range(1, 5):
-            graph.set_rate(0, leaf, 1.0 / HOUR)
-        for leaf in range(6, 10):
-            graph.set_rate(5, leaf, 1.0 / HOUR)
-        graph.set_rate(0, 5, 1.0 / (2 * HOUR))
+        graph = ContactGraph(
+            10,
+            [(0, leaf, 1.0 / HOUR) for leaf in range(1, 5)]
+            + [(5, leaf, 1.0 / HOUR) for leaf in range(6, 10)]
+            + [(0, 5, 1.0 / (2 * HOUR))],
+        )
         selection = select_ncls(graph, k=2, time_budget=3 * HOUR)
         assert set(selection.central_nodes) == {0, 5}

@@ -11,12 +11,11 @@ from repro.units import HOUR
 @pytest.fixture
 def weighted_star():
     """Hub 0; node 5 has high degree but weak links."""
-    graph = ContactGraph(8)
-    for leaf in (1, 2, 3):
-        graph.set_rate(0, leaf, 2.0 / HOUR)
-    for leaf in (4, 6, 7, 1, 2):
-        graph.set_rate(5, leaf, 0.01 / HOUR)
-    return graph
+    return ContactGraph(
+        8,
+        [(0, leaf, 2.0 / HOUR) for leaf in (1, 2, 3)]
+        + [(5, leaf, 0.01 / HOUR) for leaf in (4, 6, 7, 1, 2)],
+    )
 
 
 class TestStrategies:

@@ -95,8 +95,7 @@ class TestPathAwareResponse:
         assert strategy.probability(query, now=999.0, caching_node=0) == 0.0
 
     def test_unreachable_requester_gets_floor(self, query_factory):
-        graph = ContactGraph(3)
-        graph.set_rate(0, 1, 0.5)
+        graph = ContactGraph(3, [(0, 1, 0.5)])
         strategy = PathAwareResponse(graph, floor=0.07)
         query = query_factory(requester=2, created_at=0.0, time_constraint=100.0)
         assert strategy.probability(query, now=0.0, caching_node=0) == 0.07

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import os
 
 import pytest
 
@@ -40,6 +41,24 @@ def workload(**overrides):
     return WorkloadConfig(
         mean_data_lifetime=12 * HOUR, mean_data_size=20 * MEGABIT, **overrides
     )
+
+
+class CrashOnce:
+    """Picklable scheme factory that kills its worker process on first
+    use (an OOM-killed or segfaulting worker), then behaves like
+    ``NoCache``.  The sentinel file makes the crash happen exactly once
+    across all processes."""
+
+    def __init__(self, sentinel_path):
+        self.sentinel_path = sentinel_path
+
+    def __call__(self):
+        try:
+            with open(self.sentinel_path, "x"):
+                pass
+        except FileExistsError:
+            return NoCache()
+        os._exit(1)  # hard kill: no exception, the pool just breaks
 
 
 def bitwise_equal(a, b):
@@ -209,6 +228,26 @@ class TestServeRepeated:
         )
         assert len(serial) == len(parallel) == len(seeds)
         for out_s, out_p in zip(serial, parallel):
+            assert results_equal(out_s.result, out_p.result)
+            assert [b.deterministic_fields for b in out_s.batches] == [
+                b.deterministic_fields for b in out_p.batches
+            ]
+
+    def test_worker_crash_is_retried_on_a_fresh_pool(self, tmp_path):
+        """A worker that dies breaks the whole pool; the unfinished
+        sessions rerun on a fresh pool and reproduce the serial outcomes,
+        because each task carries its pinned seed."""
+        trace = serve_trace()
+        seeds = [1, 2, 3]
+        serial = serve_repeated(trace, NoCache, workload(), seeds=seeds, batches=2)
+        sentinel = tmp_path / "crashed.sentinel"
+        crashing = CrashOnce(str(sentinel))
+        recovered = serve_repeated(
+            trace, crashing, workload(), seeds=seeds, batches=2, workers=2
+        )
+        assert sentinel.exists()
+        assert len(recovered) == len(seeds)
+        for out_s, out_p in zip(serial, recovered):
             assert results_equal(out_s.result, out_p.result)
             assert [b.deterministic_fields for b in out_s.batches] == [
                 b.deterministic_fields for b in out_p.batches

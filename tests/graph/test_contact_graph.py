@@ -32,9 +32,42 @@ class TestConstruction:
         with pytest.raises(ConfigurationError):
             ContactGraph.from_rate_matrix(np.zeros((2, 3)))
 
+    def test_rejects_one_way_edge(self):
+        # 0 -> 1 below allclose's tolerance and no 1 -> 0: the graph
+        # would list 1 as 0's neighbour while nothing reaches 0.
+        rates = np.zeros((3, 3))
+        rates[0, 1] = 5e-9
+        rates[1, 2] = rates[2, 1] = 1e-3
+        with pytest.raises(ConfigurationError):
+            ContactGraph.from_rate_matrix(rates)
+
+    def test_rejects_asymmetry_of_one_ulp(self):
+        rates = np.array([[0.0, 0.5], [np.nextafter(0.5, 1.0), 0.0]])
+        with pytest.raises(ConfigurationError):
+            ContactGraph.from_rate_matrix(rates)
+
     def test_needs_at_least_one_node(self):
         with pytest.raises(ConfigurationError):
             ContactGraph(0)
+
+    def test_edge_triple_sets_both_directions(self):
+        graph = ContactGraph(3, [(0, 2, 0.7)])
+        assert graph.rate(2, 0) == 0.7
+        assert graph.neighbors(2) == (0,)
+
+    def test_rejects_invalid_edge_triples(self):
+        for bad in [(1, 1, 0.5), (0, 1, -0.5), (0, 3, 0.5), (0.5, 1, 0.5)]:
+            with pytest.raises(ConfigurationError):
+                ContactGraph(3, [(0, 2, 0.7), bad])
+
+    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
+    def test_later_triple_overrides_earlier(self, sparse):
+        edges = [(0, 1, 0.5), (1, 0, 0.25), (1, 2, 0.5), (2, 1, 0.0)]
+        graph = ContactGraph(3, edges, sparse=sparse)
+        assert graph.rate(0, 1) == graph.rate(1, 0) == 0.25
+        assert graph.rate(1, 2) == graph.rate(2, 1) == 0.0
+        assert graph.neighbors(2) == () and graph.num_edges == 1
+        assert list(graph.edges()) == [(0, 1, 0.25)]
 
 
 class TestFromTrace:
@@ -65,12 +98,6 @@ class TestAccessors:
         assert star_graph.degree(1) == 1
         assert star_graph.neighbors(1) == (0,)
 
-    def test_neighbors_cache_invalidated_by_mutation(self, star_graph):
-        before = star_graph.neighbors(1)
-        star_graph.set_rate(1, 2, 0.25)
-        assert star_graph.neighbors(1) == (0, 2)
-        assert before == (0,)
-
     def test_edges_iteration(self, star_graph):
         edges = list(star_graph.edges())
         assert len(edges) == 5
@@ -83,45 +110,27 @@ class TestAccessors:
         assert line_graph.expected_intercontact(0, 1) == pytest.approx(3600.0)
         assert line_graph.expected_intercontact(0, 3) == float("inf")
 
-    def test_set_rate_symmetric(self):
-        graph = ContactGraph(3)
-        graph.set_rate(0, 2, 0.7)
-        assert graph.rate(2, 0) == 0.7
-
-    def test_set_rate_rejects_self_loop(self):
-        graph = ContactGraph(3)
-        with pytest.raises(ConfigurationError):
-            graph.set_rate(1, 1, 0.5)
-
-    def test_rate_matrix_is_copy(self, line_graph):
-        matrix = line_graph.rate_matrix()
-        matrix[0, 1] = 99.0
-        assert line_graph.rate(0, 1) != 99.0
+    def test_rates_view_is_read_only(self, line_graph):
+        for sparse in (False, True):
+            graph = ContactGraph(4, line_graph.edges(), sparse=sparse)
+            view = graph.rates
+            np.testing.assert_array_equal(view, line_graph.rates)
+            with pytest.raises(ValueError):
+                view[0, 1] = 99.0
+            with pytest.raises(ValueError):
+                view.flags.writeable = True
+            assert graph.rate(0, 1) != 99.0
 
 
 class TestVersioning:
-    def test_version_bumps_on_mutation(self):
-        graph = ContactGraph(3)
-        v0 = graph.version
-        graph.set_rate(0, 1, 0.5)
-        assert graph.version > v0
-
-    def test_versions_unique_across_instances(self):
-        a = ContactGraph(2)
-        b = ContactGraph(2)
-        assert a.version != b.version
-        a.set_rate(0, 1, 1.0)
-        b.set_rate(0, 1, 1.0)
-        assert a.version != b.version
+    """Content identity: the fingerprint the path-weight cache keys on."""
 
     def test_fingerprint_tracks_content(self):
-        a = ContactGraph(3)
-        b = ContactGraph(3)
-        assert a.fingerprint() == b.fingerprint()
-        a.set_rate(0, 1, 0.5)
-        assert a.fingerprint() != b.fingerprint()
-        b.set_rate(0, 1, 0.5)
-        assert a.fingerprint() == b.fingerprint()
+        empty = ContactGraph(3)
+        assert empty.fingerprint() == ContactGraph(3).fingerprint()
+        one_edge = ContactGraph(3, [(0, 1, 0.5)])
+        assert one_edge.fingerprint() != empty.fingerprint()
+        assert one_edge.fingerprint() == ContactGraph(3, [(1, 0, 0.5)]).fingerprint()
 
     def test_fingerprint_includes_node_count(self):
         assert ContactGraph(2).fingerprint() != ContactGraph(3).fingerprint()

@@ -49,16 +49,19 @@ class TestShortestPaths:
 
     def test_direct_vs_two_hop(self):
         # 0-2 direct is slow; 0-1-2 through a fast relay is quicker.
-        graph = ContactGraph(3)
-        graph.set_rate(0, 2, 1.0 / (10 * HOUR))
-        graph.set_rate(0, 1, 1.0 / HOUR)
-        graph.set_rate(1, 2, 1.0 / HOUR)
+        graph = ContactGraph(
+            3,
+            [
+                (0, 2, 1.0 / (10 * HOUR)),
+                (0, 1, 1.0 / HOUR),
+                (1, 2, 1.0 / HOUR),
+            ],
+        )
         path = shortest_path(graph, 0, 2, time_budget=5 * HOUR)
         assert path.nodes == (0, 1, 2)
 
     def test_disconnected_returns_none(self):
-        graph = ContactGraph(3)
-        graph.set_rate(0, 1, 0.5)
+        graph = ContactGraph(3, [(0, 1, 0.5)])
         assert shortest_path(graph, 0, 2, time_budget=10.0) is None
 
     def test_modes_agree_on_simple_graph(self, line_graph):
@@ -69,10 +72,14 @@ class TestShortestPaths:
 
     def test_max_probability_prefers_higher_weight(self):
         # direct link vs 2-hop: the 2-hop pair is much faster per hop.
-        graph = ContactGraph(3)
-        graph.set_rate(0, 2, 1.0 / (20 * HOUR))
-        graph.set_rate(0, 1, 1.0 / (0.5 * HOUR))
-        graph.set_rate(1, 2, 1.0 / (0.5 * HOUR))
+        graph = ContactGraph(
+            3,
+            [
+                (0, 2, 1.0 / (20 * HOUR)),
+                (0, 1, 1.0 / (0.5 * HOUR)),
+                (1, 2, 1.0 / (0.5 * HOUR)),
+            ],
+        )
         budget = 2 * HOUR
         path = shortest_path(graph, 0, 2, budget, PathMode.MAX_PROBABILITY)
         direct = path_delivery_probability([1.0 / (20 * HOUR)], budget)
@@ -92,8 +99,7 @@ class TestWeightVector:
         assert all(0.0 <= w <= 1.0 for w in weights)
 
     def test_unreachable_weight_zero(self):
-        graph = ContactGraph(3)
-        graph.set_rate(0, 1, 0.5)
+        graph = ContactGraph(3, [(0, 1, 0.5)])
         weights = shortest_path_weights_from(graph, 0, 10.0)
         assert weights[2] == 0.0
 

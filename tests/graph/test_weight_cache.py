@@ -1,4 +1,4 @@
-"""Unit tests for the graph-versioned path-weight cache."""
+"""Unit tests for the content-keyed path-weight cache."""
 
 import numpy as np
 import pytest
@@ -6,11 +6,7 @@ import pytest
 from repro.core.ncl import sparse_ncl_metrics
 from repro.graph import weight_cache
 from repro.graph.contact_graph import ContactGraph
-from repro.graph.paths import (
-    PathMode,
-    shortest_path_weight_matrix,
-    shortest_path_weights_from,
-)
+from repro.graph.paths import PathMode, shortest_path_weights_from
 from repro.graph.weight_cache import (
     PathWeightCache,
     cached_path_weights,
@@ -20,11 +16,7 @@ from repro.graph.weight_cache import (
 
 @pytest.fixture
 def graph():
-    g = ContactGraph(4)
-    g.set_rate(0, 1, 1.0)
-    g.set_rate(1, 2, 0.5)
-    g.set_rate(2, 3, 0.25)
-    return g
+    return ContactGraph(4, [(0, 1, 1.0), (1, 2, 0.5), (2, 3, 0.25)])
 
 
 @pytest.fixture(params=[4, 300], ids=str)
@@ -34,14 +26,15 @@ def sized_graph(request, graph):
     if request.param == 4:
         return graph
     rng = np.random.default_rng(0)
-    g = ContactGraph(request.param)
-    g.set_edge_rates(
-        (i, int(j), float(rng.uniform(0.1, 1.0)))
-        for i in range(request.param)
-        for j in rng.choice(request.param, 6, replace=False)
-        if j != i
+    return ContactGraph(
+        request.param,
+        (
+            (i, int(j), float(rng.uniform(0.1, 1.0)))
+            for i in range(request.param)
+            for j in rng.choice(request.param, 6, replace=False)
+            if j != i
+        ),
     )
-    return g
 
 
 class TestPathWeightCache:
@@ -76,27 +69,10 @@ class TestPathWeightCache:
         assert shared_weight_cache().misses == 1
         shared_weight_cache().clear()
 
-    def test_mutation_invalidates(self, graph):
-        cache = PathWeightCache()
-        before = cache.weights(graph, 0, 10.0)
-        stale = cache.weight_matrix(graph, 10.0)
-        graph.set_rate(0, 3, 2.0)
-        after = cache.weights(graph, 0, 10.0)
-        assert cache.misses == 3
-        assert after[3] > before[3]
-        # The mutated graph's matrix is a scratch build, byte for byte.
-        fresh = cache.weight_matrix(graph, 10.0)
-        assert fresh is not stale
-        assert fresh.tobytes() == shortest_path_weight_matrix(graph, 10.0).tobytes()
-
     def test_identical_content_shares_entries_across_instances(self):
         # Two snapshots built at the same simulated instant (a churn
         # refresh landing on a periodic one): distinct objects, same rates.
-        a = ContactGraph(3)
-        b = ContactGraph(3)
-        for g in (a, b):
-            g.set_rate(0, 1, 1.0)
-            g.set_rate(1, 2, 0.5)
+        a, b = (ContactGraph(3, [(0, 1, 1.0), (1, 2, 0.5)]) for _ in range(2))
         cache = PathWeightCache()
         cache.weights(a, 0, 5.0)
         cache.weights(b, 0, 5.0)
@@ -186,10 +162,11 @@ class TestPathWeightCache:
 
 
 class TestStaleCacheProtection:
-    """Regression: the shared cache is content-keyed, so any rate-matrix
-    mutation that skips the version bump would silently serve stale
-    paths.  The graph closes that hole by keeping the matrix non-writable
-    at rest — all mutation must flow through the version-bumping setters.
+    """Regression: the shared cache is content-keyed, so a rate matrix
+    that changed after its fingerprint was taken would silently serve
+    stale paths.  The graph closes that hole by being a value: its matrix
+    is read-only from construction, and it never shares the caller's
+    input array.
     """
 
     def test_in_place_write_on_rates_view_raises(self, graph):
@@ -201,54 +178,27 @@ class TestStaleCacheProtection:
         with pytest.raises(ValueError):
             view.flags.writeable = True  # base array is non-writable
 
-    def test_internal_matrix_is_locked_between_mutations(self, graph):
-        graph.set_rate(0, 3, 2.0)  # the setter re-locks on the way out
-        with pytest.raises(ValueError):
-            graph.rates[0, 3] = 0.0
-
-    def test_set_rates_bumps_version_and_fingerprint(self, graph):
-        version = graph.version
-        fingerprint = graph.fingerprint()
-        rates = graph.rate_matrix()
-        rates[0, 3] = rates[3, 0] = 2.0
-        graph.set_rates(rates)
-        assert graph.version > version
-        assert graph.fingerprint() != fingerprint
-
-    def test_set_rates_invalidates_cached_weights(self, graph):
-        """The stale-cache scenario end to end: bulk mutation through the
-        setter must make the cache recompute, and the fresh weights must
-        reflect the new rates."""
-        cache = PathWeightCache()
-        before = cache.weights(graph, 0, 10.0)
-        rates = graph.rate_matrix()
-        rates[0, 3] = rates[3, 0] = 5.0  # direct shortcut 0-3
-        graph.set_rates(rates)
-        after = cache.weights(graph, 0, 10.0)
-        assert cache.misses == 2  # no stale hit
-        assert after[3] > before[3]
-
-    def test_set_rates_copies_the_input(self, graph):
-        rates = graph.rate_matrix()
-        graph.set_rates(rates)
-        fingerprint = graph.fingerprint()
+    def test_from_rate_matrix_copies_the_input(self, graph):
+        rates = np.array(graph.rates)
+        copy = ContactGraph.from_rate_matrix(rates)
+        fingerprint = copy.fingerprint()
         rates[0, 3] = rates[3, 0] = 7.0  # caller's array stays theirs
-        assert graph.fingerprint() == fingerprint
-        assert graph.rate(0, 3) == 0.0
+        assert copy.fingerprint() == fingerprint == graph.fingerprint()
+        assert copy.rate(0, 3) == 0.0
 
-    def test_set_rates_validates(self, graph):
+    def test_from_rate_matrix_validates(self):
         from repro.errors import ConfigurationError
 
         with pytest.raises(ConfigurationError):
-            graph.set_rates(np.zeros((2, 2)))  # wrong shape
+            ContactGraph.from_rate_matrix(np.zeros((4, 3)))  # not square
         bad = np.zeros((4, 4))
-        bad[0, 1] = -1.0
+        bad[0, 1] = bad[1, 0] = -1.0
         with pytest.raises(ConfigurationError):
-            graph.set_rates(bad)  # negative rate
+            ContactGraph.from_rate_matrix(bad)  # negative rate
         asym = np.zeros((4, 4))
         asym[0, 1] = 1.0
         with pytest.raises(ConfigurationError):
-            graph.set_rates(asym)  # asymmetric
+            ContactGraph.from_rate_matrix(asym)  # asymmetric
 
 
 class TestSharedCache:

@@ -9,8 +9,8 @@ Two layers of guarantees live here:
   :meth:`Simulator._build_memory_accountants` is cross-checked against
   an *independent* sizeof oracle (``oracle_nbytes_<name>``, a
   ``gc.get_referents`` walk that shares no code with ``deep_sizeof``).
-  ``scripts/check_memory_accountants.py`` lints that every subsystem
-  keeps such an oracle in the corpus.
+  ``tests/obs/test_memory_lint.py`` lints that every subsystem keeps
+  such an oracle in the corpus.
 
 The strict ≥90% heap-attribution floor is the large-scale acceptance
 test at the bottom (``REPRO_BIG_TESTS=1``); the tier-1 consistency test

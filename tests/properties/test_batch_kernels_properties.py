@@ -281,7 +281,7 @@ def weight_row_cases(draw):
             if (backbone and j == i + 1) or rng.random() < edge_probability:
                 rate = rng.integers(1, 4) / 8.0 if quantised else rng.uniform(1e-4, 1.0)
                 edges.append((i, j, rate))
-    graph = ContactGraph.from_edges(num_nodes, edges, sparse=draw(st.booleans()))
+    graph = ContactGraph(num_nodes, edges, sparse=draw(st.booleans()))
     node = st.integers(min_value=0, max_value=num_nodes - 1)
     sources = draw(st.lists(node, min_size=1, max_size=10))
     return graph, sources, draw(st.floats(min_value=0.5, max_value=1e4))
@@ -299,7 +299,7 @@ def test_weight_rows_are_byte_identical_to_single_source_sweeps(case):
 def _chain(sparse: bool) -> ContactGraph:
     """A 13-node chain with well-separated rates."""
     rates = [0.05 * 1.5**i for i in range(12)]
-    return ContactGraph.from_edges(
+    return ContactGraph(
         13, [(i, i + 1, rate) for i, rate in enumerate(rates)], sparse=sparse
     )
 

@@ -83,7 +83,7 @@ def _from_case(case, sparse=None):
     for i, j, rate in raw:
         if i != j:
             edges[(min(i, j), max(i, j))] = rate
-    return ContactGraph.from_edges(
+    return ContactGraph(
         n, [(i, j, rate) for (i, j), rate in edges.items()], sparse=sparse
     )
 
@@ -181,7 +181,7 @@ def test_knn_cores_are_byte_identical(case, sparse):
     exactly.  Every other tier-1 graph is small enough to take the scipy
     core, so this is where the heap core runs in tier-1."""
     n, edges, k = case
-    graph = ContactGraph.from_edges(n, edges, sparse=sparse)
+    graph = ContactGraph(n, edges, sparse=sparse)
     indptr, indices, data = graph.csr_rates()
     sources = np.arange(n, dtype=np.int64)
     k = min(k, max(n - 1, 1))  # as knn_weight_rows clips it

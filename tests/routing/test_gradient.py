@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.graph.contact_graph import ContactGraph
 from repro.graph.paths import shortest_path_weights_from
 from repro.graph.weight_cache import shared_weight_cache
 from repro.routing.base import ForwardAction
@@ -54,17 +55,6 @@ class TestDecisions:
         assert after == expected.tolist()
         assert after[:4] != before  # the line graph's table is not reused
 
-    def test_in_place_rate_change_refreshes_weights(self, line_graph):
-        horizon = 2 * HOUR
-        router = GradientRouter(horizon=horizon)
-        before = router.weight_to(0, 3, line_graph)
-        line_graph.set_rate(0, 3, 1.0 / HOUR)  # same instance, new version
-        expected = shortest_path_weights_from(line_graph, 3, horizon)
-        assert router.weight_to(0, 3, line_graph) == expected[0] > before
-        decision = router.decide(0, 1, 3, line_graph, 1.0)
-        assert decision.carrier_score == expected[0]
-        assert decision.peer_score == expected[1]
-
     def test_new_snapshot_refills_routed_destinations_in_one_call(
         self, line_graph, monkeypatch
     ):
@@ -78,17 +68,18 @@ class TestDecisions:
 
         monkeypatch.setattr(cache, "weight_rows", recording)
         router = GradientRouter(horizon=10 * HOUR)
+        edges = list(line_graph.edges()) + [(0, 2, 1.0 / HOUR)]
+        second = ContactGraph(4, edges)
+        third = ContactGraph(4, edges + [(1, 3, 1.0 / HOUR)])
         router.decide(1, 2, 0, line_graph, 1.0)
         router.decide(1, 2, 3, line_graph, 1.0)
-        line_graph.set_rate(0, 2, 1.0 / HOUR)
         batches.clear()
-        router.decide(2, 1, 3, line_graph, 1.0)
-        router.decide(2, 1, 3, line_graph, 1.0)
+        router.decide(2, 1, 3, second, 1.0)
+        router.decide(2, 1, 3, second, 1.0)
         assert batches == [[0, 3]]  # one refill, nothing fetched per decision
-        line_graph.set_rate(1, 3, 1.0 / HOUR)
         batches.clear()
-        router.decide(2, 1, 3, line_graph, 1.0)
-        router.decide(2, 0, 1, line_graph, 1.0)
+        router.decide(2, 1, 3, third, 1.0)
+        router.decide(2, 0, 1, third, 1.0)
         # only 3 was routed toward in the previous snapshot; 1 is new and
         # comes on its own
         assert batches == [[3], [1]]

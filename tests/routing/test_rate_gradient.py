@@ -8,13 +8,16 @@ from repro.units import HOUR
 
 def two_community_graph():
     """0 hub of {1,2}; 3 hub of {4,5}; hubs linked."""
-    graph = ContactGraph(6)
-    graph.set_rate(0, 1, 2.0 / HOUR)
-    graph.set_rate(0, 2, 2.0 / HOUR)
-    graph.set_rate(3, 4, 2.0 / HOUR)
-    graph.set_rate(3, 5, 2.0 / HOUR)
-    graph.set_rate(0, 3, 1.0 / HOUR)
-    return graph
+    return ContactGraph(
+        6,
+        [
+            (0, 1, 2.0 / HOUR),
+            (0, 2, 2.0 / HOUR),
+            (3, 4, 2.0 / HOUR),
+            (3, 5, 2.0 / HOUR),
+            (0, 3, 1.0 / HOUR),
+        ],
+    )
 
 
 class TestScores:
@@ -71,12 +74,10 @@ class TestDecisions:
 
 
 class TestGraphUpdates:
-    def test_in_place_rate_change_refreshes_hub_scores(self):
-        graph = ContactGraph(4)
-        graph.set_rate(0, 1, 1.0)
-        graph.set_rate(1, 2, 1.0)
+    def test_new_snapshot_refreshes_hub_scores(self):
+        edges = [(0, 1, 1.0), (1, 2, 1.0)]
         router = RateGradientRouter()
-        assert router.score(3, 0, graph) == 0.0  # node 3 meets nobody
-        graph.set_rate(3, 2, 0.5)  # same instance, new version
-        fresh = RateGradientRouter().score(3, 0, graph)
-        assert router.score(3, 0, graph) == fresh > 0.0
+        assert router.score(3, 0, ContactGraph(4, edges)) == 0.0  # 3 meets nobody
+        snapshot = ContactGraph(4, edges + [(3, 2, 0.5)])
+        fresh = RateGradientRouter().score(3, 0, snapshot)
+        assert router.score(3, 0, snapshot) == fresh > 0.0
