@@ -187,10 +187,12 @@ def _run_static_sim(reelect, mem_profile=False):
     )
     from repro.sim.simulator import Simulator
 
+    # Memory columns live in the sampled rows, so profiling memory
+    # keeps the time series too.
     spec = ScenarioSpec(
         trace=TraceSpec(name="mit_reality", node_factor=0.35, time_factor=0.08),
         scheme=SchemeSpec(reelect=reelect),
-        run=RunSpec(mem_profile=mem_profile),
+        run=RunSpec(mem_profile=mem_profile, timeseries=mem_profile),
     )
     trace = build_trace(spec.trace)
     workload = WorkloadConfig(
@@ -221,12 +223,12 @@ def test_bench_sim_static_reelect(benchmark):
 
 
 def test_bench_sim_static_memory(benchmark):
-    """Same static run with ``mem_profile`` sampling enabled.
+    """Same static run keeping telemetry rows with memory columns.
 
     The bench guard pairs this with ``test_bench_sim_static`` and fails
-    when footprint sampling costs more than 5% — measuring where the
-    bytes live must stay cheap enough to switch on the moment a run is
-    suspected of bloating.  The final breakdown and the process peak RSS
+    when footprint sampling (the rows and their memory columns) costs
+    more than 5% — measuring where the bytes live must stay cheap
+    enough to switch on the moment a run is suspected of bloating.  The final breakdown and the process peak RSS
     are stamped into ``extra_info``, which feeds the guard's memory tier
     (footprint ceiling = 1.2x the committed baseline).
     """
@@ -234,7 +236,9 @@ def test_bench_sim_static_memory(benchmark):
         _run_static_sim, args=(False, True), rounds=2, iterations=1
     )
     assert result.queries_issued > 0
-    assert sim.memory.enabled and sim.memory.samples
+    rows = sim.timeseries.rows
+    assert sim.memory.enabled and rows
+    assert all(row.rss_mb > 0 and row.mem_subsystems for row in rows)
     benchmark.extra_info["peak_rss_mb"] = peak_rss_bytes() / 2**20
     benchmark.extra_info["mem_subsystems"] = sim.memory_breakdown()
 

@@ -128,6 +128,7 @@ def test_bench_large_end_to_end_1e5(benchmark):
         run=RunSpec(
             graph_refresh_period=trace.duration,
             mem_profile=True,
+            timeseries=True,
         ),
     )
 
@@ -139,7 +140,10 @@ def test_bench_large_end_to_end_1e5(benchmark):
 
     sim, result = benchmark.pedantic(run, rounds=1, iterations=1)
     assert result.queries_issued > 0
-    assert sim.memory.samples, "mem_profile produced no samples"
+    rows = sim.timeseries.rows
+    assert rows and all(row.mem_subsystems for row in rows), (
+        "mem_profile filled no memory columns"
+    )
     peak = _peak_rss_mb()
     benchmark.extra_info["peak_rss_mb"] = peak
     benchmark.extra_info["mem_subsystems"] = sim.memory_breakdown()

@@ -20,8 +20,9 @@ Commands
     ``--slo``/``--out``/``--prom-out`` add live health telemetry: SLO
     rules, anomaly detection, a JSONL health log, Prometheus text.
 ``watch``
-    Render the health log of a serve run directory (or a bare
-    ``health.jsonl``); ``--follow`` re-renders as the log grows.
+    Render a run directory's sample log: a serve run's health windows,
+    else a simulate run's time-series rows (or a bare ``health.jsonl`` /
+    ``timeseries.jsonl``); ``--follow`` re-renders as the log grows.
 ``bench``
     Run the kernel microbenchmarks and fail on regression vs baseline.
 ``trace``
@@ -204,9 +205,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     import os
 
     from repro.experiments.runner import ExperimentResult
-    from repro.experiments.runstore import MEMORY_FILE, save_run
+    from repro.experiments.runstore import save_run
     from repro.metrics.results import aggregate_results
-    from repro.obs.memory import render_memory_breakdown, write_memory_log
+    from repro.obs.memory import render_memory_breakdown
     from repro.obs.profile import render_profile_table
     from repro.obs.provenance import build_manifest
     from repro.obs.timeseries import merge_timeseries, write_csv
@@ -232,7 +233,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     )
     repeat = spec.run.repeat
 
-    memory_samples = ()
     if repeat > 1 or (args.workers and args.workers > 1):
         if args.trace_out or args.timeline_out:
             print(
@@ -264,26 +264,25 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         simulator = Simulator(trace, scheme_factory(spec)(), spec.workload, config)
         result = simulator.run()
         print(_result_line(result))
-        memory_samples = tuple(simulator.memory.samples)
         if spec.run.mem_profile:
             print()
             print(render_memory_breakdown(simulator.memory_breakdown()))
         if args.timeline_out:
-            write_csv(simulator.timeseries.rows(), args.timeline_out)
+            write_csv(simulator.timeseries.records(), args.timeline_out)
             print(f"timeline written to {args.timeline_out}")
         experiment = ExperimentResult(
             aggregate=aggregate_results([result]),
             results=[result],
             registry=simulator.registry,
             profile=simulator.profiler.as_dict(),
-            timeseries=merge_timeseries([(spec.run.seed, simulator.timeseries.rows())]),
+            timeseries=merge_timeseries(
+                [(spec.run.seed, simulator.timeseries.records())]
+            ),
             manifest=build_manifest(spec.provenance_config(), spec.run.seeds),
         )
 
     if args.out:
         save_run(experiment, args.out)
-        if memory_samples:
-            write_memory_log(os.path.join(args.out, MEMORY_FILE), memory_samples)
         print(f"run directory written to {args.out} (render with `repro report`)")
     if args.profile:
         print()
@@ -299,15 +298,14 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 def cmd_serve(args: argparse.Namespace) -> int:
     import os
-    from pathlib import Path
 
     from repro.errors import ConfigurationError
-    from repro.experiments.runstore import HEALTH_FILE, MANIFEST_FILE, MEMORY_FILE
+    from repro.experiments.runstore import HEALTH_FILE, MANIFEST_FILE
     from repro.experiments.serve import serve_repeated, summarize_throughput
-    from repro.obs.health import render_prometheus, write_health_log
-    from repro.obs.memory import write_memory_log
+    from repro.obs.health import render_prometheus
     from repro.obs.provenance import build_manifest, write_manifest
     from repro.obs.slo import SLOEngine, parse_slo_rule
+    from repro.obs.timeseries import write_jsonl
 
     try:
         rules = tuple(parse_slo_rule(spec_text) for spec_text in (args.slo or []))
@@ -364,12 +362,9 @@ def cmd_serve(args: argparse.Namespace) -> int:
     )
 
     first_health = outcomes[0].health if outcomes else None
-    first_memory = outcomes[0].memory if outcomes else ()
     if args.out and first_health is not None:
         os.makedirs(args.out, exist_ok=True)
-        write_health_log(Path(args.out) / HEALTH_FILE, first_health)
-        if first_memory:
-            write_memory_log(Path(args.out) / MEMORY_FILE, first_memory)
+        write_jsonl(first_health.to_records(), os.path.join(args.out, HEALTH_FILE))
         write_manifest(
             build_manifest(
                 spec.provenance_config(), spec.run.seeds, slo_rules=rules
@@ -384,9 +379,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
         engine = SLOEngine(rules)
         for snapshot in first_health.snapshots:
             engine.evaluate(snapshot)
-        last_memory = first_memory[-1] if first_memory else None
         with open(args.prom_out, "w", encoding="utf-8") as handle:
-            handle.write(render_prometheus(first_health, engine, memory=last_memory))
+            handle.write(render_prometheus(first_health, engine))
         print(f"Prometheus exposition written to {args.prom_out}")
     return 0
 
@@ -394,48 +388,19 @@ def cmd_serve(args: argparse.Namespace) -> int:
 def cmd_watch(args: argparse.Namespace) -> int:
     import os
     import time
-    from pathlib import Path
 
-    from repro.experiments.runstore import HEALTH_FILE, MEMORY_FILE
-    from repro.obs.health import read_health_log, render_health_table
-    from repro.obs.memory import read_memory_log, render_memory_table
+    from repro.experiments.runstore import render_sample_log, sample_log_path
 
-    path = args.path
-    memory_path = None
-    if os.path.isdir(path):
-        candidate = os.path.join(path, MEMORY_FILE)
-        memory_path = candidate if os.path.exists(candidate) else None
-        path = os.path.join(path, HEALTH_FILE)
-    if not os.path.exists(path):
-        if memory_path is None:
-            print(
-                f"no health log at {path!r} and no memory log either "
-                "(serve with --slo/--out, or simulate with --mem-profile)",
-                file=sys.stderr,
-            )
-            return 2
-        # A mem-profiled simulate run has no health log; watch the
-        # memory samples alone (the growth poll then follows them).
-        path = memory_path
-        memory_path = None
-
-        def _render() -> str:
-            return render_memory_table(read_memory_log(Path(path)), limit=args.limit)
-
-    else:
-
-        def _render() -> str:
-            text = render_health_table(
-                read_health_log(Path(path)), limit=args.limit
-            )
-            if memory_path:
-                text += "\n\n" + render_memory_table(
-                    read_memory_log(Path(memory_path)), limit=args.limit
-                )
-            return text
-
+    path = sample_log_path(args.path) if os.path.isdir(args.path) else args.path
+    if path is None or not os.path.exists(path):
+        print(
+            f"no health log or time series at {args.path!r} (serve with "
+            "--slo/--out, or simulate with --out)",
+            file=sys.stderr,
+        )
+        return 2
     if not args.follow:
-        print(_render())
+        print(render_sample_log(path, limit=args.limit))
         return 0
     last_size = -1
     try:
@@ -443,7 +408,7 @@ def cmd_watch(args: argparse.Namespace) -> int:
             size = os.path.getsize(path)
             if size != last_size:
                 last_size = size
-                print(_render())
+                print(render_sample_log(path, limit=args.limit))
             time.sleep(args.interval)
     except KeyboardInterrupt:
         return 0
@@ -680,9 +645,9 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(
                 "--mem-profile",
                 action="store_true",
-                help="sample RSS/heap and the per-subsystem byte "
-                "attribution at each telemetry boundary (writes "
-                "memory.jsonl under --out)",
+                help="fill the memory columns (peak RSS, heap, per-subsystem "
+                "byte attribution) of each telemetry row: timeseries.jsonl "
+                "for simulate, health.jsonl for serve, under --out",
             )
         if name == "serve":
             p.add_argument(
@@ -870,12 +835,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_report.set_defaults(func=cmd_report)
 
     p_watch = sub.add_parser(
-        "watch", help="render a serve run's live health log"
+        "watch",
+        help="render a run's sample log: a serve run's health windows, "
+        "else a simulate run's time-series rows",
     )
-    p_watch.add_argument("path", help="run directory (serve --out) or health.jsonl")
+    p_watch.add_argument(
+        "path",
+        help="run directory (serve --out or simulate --out), health.jsonl "
+        "or timeseries.jsonl",
+    )
     p_watch.add_argument(
         "--limit", type=int, default=20, metavar="N",
-        help="show at most the last N health windows",
+        help="show at most the last N windows or rows",
     )
     p_watch.add_argument(
         "--follow", action="store_true",

@@ -115,7 +115,7 @@ def _execute_task(task: _Task) -> _Outcome:
         seed=seed,
         registry=simulator.registry,
         profile=simulator.profiler.as_dict(),
-        timeseries=simulator.timeseries.rows(),
+        timeseries=simulator.timeseries.records(),
     )
     return result, telemetry
 

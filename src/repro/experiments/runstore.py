@@ -8,16 +8,21 @@ A *run directory* is the on-disk form of an
 ``manifest.json``         provenance (config hash, seeds, git, platform)
 ``metrics.json``          merged :class:`MetricsRegistry` snapshot
 ``profile.json``          merged profile (``{}`` when profiling was off)
-``timeseries.jsonl``      seed-tagged samples (absent when sampling was off)
-``timeseries.csv``        scalar columns of the same samples
+``timeseries.jsonl``      seed-tagged telemetry rows (absent when sampling
+                          was off); memory columns filled under
+                          ``--mem-profile``
+``timeseries.csv``        scalar columns of the same rows
 ``trace.jsonl``           lifecycle trace (only when tracing was on)
-``health.jsonl``          serve-mode health log (only with ``--slo``/health)
-``memory.jsonl``          RSS/heap/attribution samples (``--mem-profile``)
+``health.jsonl``          serve-mode health log (only with ``--slo``/health);
+                          each window carries its end row's memory columns
 ========================  ==================================================
 
 ``python -m repro report <run-dir>`` renders the whole directory as one
 Markdown document via :func:`render_run_report`; every section degrades
 gracefully when its file is absent, so result-only runs still report.
+``python -m repro watch`` renders the run's sample log
+(:func:`render_sample_log`): the health log when there is one, else the
+time-series rows.
 """
 
 from __future__ import annotations
@@ -26,25 +31,33 @@ import dataclasses
 import json
 import math
 import os
-from pathlib import Path
 from typing import Any, Dict, List, Optional
 
 from repro.errors import ConfigurationError
 from repro.experiments.runner import ExperimentResult
 from repro.obs.causality import build_causality, render_audit_report
 from repro.obs.diagnose import render_diagnosis, run_diagnosis
-from repro.obs.health import read_health_log, render_health_table
-from repro.obs.memory import read_memory_log, render_memory_table
+from repro.obs.health import HealthReport, render_health_table
 from repro.obs.profile import check_profile_tree, render_profile_table
 from repro.obs.provenance import write_manifest
 from repro.obs.recorder import read_events
-from repro.obs.timeseries import summarize_timeseries, write_csv, write_jsonl
+from repro.obs.timeseries import (
+    MEMORY_TABLE,
+    ROW_TABLE,
+    read_jsonl,
+    render_rows,
+    summarize_timeseries,
+    write_csv,
+    write_jsonl,
+)
 
 __all__ = [
     "save_run",
     "load_run",
     "contact_trace_from_manifest",
     "render_run_report",
+    "sample_log_path",
+    "render_sample_log",
 ]
 
 RESULT_FILE = "result.json"
@@ -55,7 +68,6 @@ TIMESERIES_FILE = "timeseries.jsonl"
 TIMESERIES_CSV_FILE = "timeseries.csv"
 TRACE_FILE = "trace.jsonl"
 HEALTH_FILE = "health.jsonl"
-MEMORY_FILE = "memory.jsonl"
 
 
 def _dump(value: Any, path: str) -> None:
@@ -93,15 +105,7 @@ def _load_json(run_dir: str, name: str) -> Optional[Any]:
 
 def _load_jsonl(run_dir: str, name: str) -> Optional[List[Dict[str, Any]]]:
     path = os.path.join(run_dir, name)
-    if not os.path.exists(path):
-        return None
-    rows: List[Dict[str, Any]] = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                rows.append(json.loads(line))
-    return rows
+    return read_jsonl(path) if os.path.exists(path) else None
 
 
 def load_run(run_dir: str) -> Dict[str, Any]:
@@ -124,12 +128,32 @@ def load_run(run_dir: str) -> Dict[str, Any]:
             if os.path.exists(os.path.join(run_dir, HEALTH_FILE))
             else None
         ),
-        "memory_path": (
-            os.path.join(run_dir, MEMORY_FILE)
-            if os.path.exists(os.path.join(run_dir, MEMORY_FILE))
-            else None
-        ),
     }
+
+
+def sample_log_path(run_dir: str) -> Optional[str]:
+    """The run's sample log: ``health.jsonl`` if present, else
+    ``timeseries.jsonl``, else None."""
+    for name in (HEALTH_FILE, TIMESERIES_FILE):
+        path = os.path.join(run_dir, name)
+        if os.path.exists(path):
+            return path
+    return None
+
+
+def render_sample_log(path: str, limit: Optional[int] = None) -> str:
+    """The ``repro watch`` table of a health log or a time-series file."""
+    records = read_jsonl(path)
+    if records and records[0].get("kind") == "health.meta":
+        return render_health_table(HealthReport.from_records(records), limit)
+    columns = ROW_TABLE
+    if any("seed" in record for record in records):
+        columns = (("seed", "seed", 4, 0),) + columns
+    if _memory_records(records):
+        columns += MEMORY_TABLE
+    lines = render_rows(records, columns, limit)
+    lines.append(f"{len(records)} rows")
+    return "\n".join(lines)
 
 
 def contact_trace_from_manifest(manifest: Optional[Dict[str, Any]]):
@@ -282,6 +306,18 @@ def _timeseries_section(rows: List[Dict[str, Any]]) -> List[str]:
     return lines
 
 
+def _memory_records(records: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
+    """The records that carry memory columns."""
+    return [record for record in records if record.get("rss_mb") is not None]
+
+
+def _memory_section(records: List[Dict[str, Any]], time_key: str, limit: int) -> str:
+    sampled = _memory_records(records)
+    lines = render_rows(sampled, (("time", time_key, 12, 1),) + MEMORY_TABLE, limit)
+    lines.append(f"{len(sampled)} memory sample(s)")
+    return "## Memory\n\n```\n" + "\n".join(lines) + "\n```"
+
+
 def render_run_report(run_dir: str, audit_limit: int = 10) -> str:
     """One Markdown document for everything a run directory recorded."""
     data = load_run(run_dir)
@@ -313,20 +349,20 @@ def render_run_report(run_dir: str, audit_limit: int = 10) -> str:
             provenance=data["manifest"],
         )
         sections.append(render_diagnosis(diagnosis, level=2).rstrip())
-    if data["health_path"]:
-        health = read_health_log(Path(data["health_path"]))
+    health_records = read_jsonl(data["health_path"]) if data["health_path"] else []
+    if health_records:
+        health = HealthReport.from_records(health_records)
         sections.append(
             "## Live health\n\n```\n"
             + render_health_table(health, limit=audit_limit)
             + "\n```"
         )
-    if data["memory_path"]:
-        memory = read_memory_log(Path(data["memory_path"]))
-        sections.append(
-            "## Memory\n\n```\n"
-            + render_memory_table(memory, limit=audit_limit)
-            + "\n```"
-        )
+    # Memory columns live in the time-series rows (simulate) or in the
+    # health windows (serve).
+    if _memory_records(data["timeseries"] or []):
+        sections.append(_memory_section(data["timeseries"], "time", audit_limit))
+    elif _memory_records(health_records):
+        sections.append(_memory_section(health_records, "end", audit_limit))
 
     if len(sections) == 1:
         sections.append("(run directory is empty)")

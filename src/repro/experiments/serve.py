@@ -22,10 +22,12 @@ continues across every cycle.
 
 Live health: pass ``slo_rules``/``monitor_health`` to
 :func:`serve_repeated` (or a :class:`~repro.obs.health.HealthMonitor`
-to :class:`ServeSession`) and every batch also freezes a
-:class:`~repro.obs.health.HealthSnapshot` whose windowed deltas sum
-bit-exactly to the final collector totals — asserted per session via
-:func:`~repro.obs.health.check_health_consistency`.
+to :class:`ServeSession`) and every batch end also builds a telemetry
+row; the :class:`~repro.obs.health.HealthSnapshot` between two
+consecutive rows carries windowed deltas that sum bit-exactly to the
+final collector totals — asserted per session via
+:func:`~repro.obs.health.check_health_consistency` — and, under
+``mem_profile``, the end row's memory columns.
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ from repro.errors import ConfigurationError
 from repro.experiments.runner import _execute_all
 from repro.metrics.results import SimulationResult
 from repro.obs.health import HealthMonitor, HealthReport, check_health_consistency
-from repro.obs.memory import MemorySample
 from repro.obs.recorder import TraceRecorder
 from repro.obs.slo import SLORule
 from repro.sim.simulator import Simulator, SimulatorConfig
@@ -157,10 +158,10 @@ class ServeSession:
             wall_seconds=wall,
         )
         if self.health is not None:
-            # Health windows share the batch's simulated-time edges, so
-            # their deltas tile the session exactly (delta-consistency
-            # is asserted against the collector at finalize time).
-            self.health.observe_window(self._batch_index, start, until)
+            # Health windows end where the batches do, so their deltas
+            # tile the session exactly (delta-consistency is asserted
+            # against the collector at finalize time).
+            self.health.observe_window(until)
         self._batch_index += 1
         return batch
 
@@ -174,17 +175,17 @@ class ServeOutcome(NamedTuple):
     """Product of one serve session: frozen result, per-batch deltas,
     and — when health monitoring was requested — the health report.
 
-    ``health`` is None on unmonitored sessions; ``memory`` is empty
-    unless the session's config enabled ``mem_profile`` (RSS/heap are
-    process counters, so they stay outside the deterministic payload).
-    Every field is picklable, so outcomes cross the worker-pool
-    boundary unchanged.
+    ``health`` is None on unmonitored sessions.  Its windows carry
+    their end rows' memory columns when the session's config enabled
+    ``mem_profile`` (RSS/heap are process counters, so they are NaN
+    otherwise and never part of a deterministic comparison).  Every
+    field is picklable, so outcomes cross the worker-pool boundary
+    unchanged.
     """
 
     result: SimulationResult
     batches: List[BatchResult]
     health: Optional[HealthReport]
-    memory: Tuple[MemorySample, ...] = ()
 
 
 #: One picklable serve task:
@@ -215,13 +216,12 @@ def _serve_task(task: _ServeTask) -> ServeOutcome:
     session = ServeSession(trace, scheme_factory(), workload, config, health=health)
     batch_results = [session.run_batch(rounds) for _ in range(batches)]
     totals = session.simulator.metrics.totals()
-    memory = tuple(session.simulator.memory.samples)
     result = session.finalize()
     report: Optional[HealthReport] = None
     if health is not None:
         report = health.report()
         check_health_consistency(report, totals, baseline=health.baseline)
-    return ServeOutcome(result, batch_results, report, memory)
+    return ServeOutcome(result, batch_results, report)
 
 
 def serve_repeated(

@@ -21,10 +21,23 @@ index:
   Brier scores, NCL load balance), and :mod:`repro.obs.diagnose`, which
   bundles the chains and the fidelity sections into ``repro diagnose``.
 
+Beside the lifecycle trace runs one sample stream: a
+:class:`~repro.obs.timeseries.TelemetryRow` of cumulative counters,
+gauges and memory columns per sample instant
+(:mod:`repro.obs.timeseries`).  The time-series sampler keeps a row per
+``SAMPLE_METRICS`` event, :mod:`repro.obs.health` derives each serve
+health window as the difference of two rows, and :mod:`repro.obs.memory`
+fills the memory columns.  Every JSONL file goes through one
+writer/reader pair (:func:`~repro.obs.timeseries.write_jsonl` /
+:func:`~repro.obs.timeseries.read_jsonl`), and one fixed-width renderer
+(:func:`~repro.obs.timeseries.render_rows`) draws every row table.
+
 Tracing is strictly opt-in: every hook guards on
 ``recorder.enabled``, and the default :data:`NULL_RECORDER` keeps the
 guard a single attribute read, so tracing-off runs pay no measurable
-overhead (enforced by the ``python -m repro bench`` guard).
+overhead (enforced by the ``python -m repro bench`` guard).  The
+sampler, the memory monitor and the profiler follow the same
+``.enabled`` convention.
 """
 
 from repro.obs.events import TraceEvent, TraceEventKind
@@ -78,25 +91,23 @@ from repro.obs.profile import (
 from repro.obs.timeseries import (
     NULL_SAMPLER,
     NullTimeSeriesSampler,
-    TimeSeriesSample,
+    TelemetryRow,
     TimeSeriesSampler,
     merge_timeseries,
+    read_jsonl,
+    render_rows,
     summarize_timeseries,
+    write_jsonl,
 )
 from repro.obs.memory import (
     NULL_MEMORY_MONITOR,
     SUBSYSTEMS,
     MemoryMonitor,
-    MemorySample,
     NullMemoryMonitor,
     check_memory_consistency,
     deep_sizeof,
     peak_rss_bytes,
-    read_memory_log,
     render_memory_breakdown,
-    render_memory_gauges,
-    render_memory_table,
-    write_memory_log,
 )
 from repro.obs.provenance import (
     build_manifest,
@@ -120,10 +131,8 @@ from repro.obs.health import (
     HealthReport,
     HealthSnapshot,
     check_health_consistency,
-    read_health_log,
     render_health_table,
     render_prometheus,
-    write_health_log,
 )
 
 __all__ = [
@@ -168,25 +177,23 @@ __all__ = [
     "merge_profiles",
     "render_profile_table",
     "check_profile_tree",
-    "TimeSeriesSample",
+    "TelemetryRow",
     "TimeSeriesSampler",
     "NullTimeSeriesSampler",
     "NULL_SAMPLER",
     "merge_timeseries",
     "summarize_timeseries",
+    "write_jsonl",
+    "read_jsonl",
+    "render_rows",
     "SUBSYSTEMS",
     "peak_rss_bytes",
     "deep_sizeof",
-    "MemorySample",
     "MemoryMonitor",
     "NullMemoryMonitor",
     "NULL_MEMORY_MONITOR",
     "check_memory_consistency",
-    "write_memory_log",
-    "read_memory_log",
-    "render_memory_table",
     "render_memory_breakdown",
-    "render_memory_gauges",
     "build_manifest",
     "config_hash",
     "read_manifest",
@@ -204,8 +211,6 @@ __all__ = [
     "CUSUMChangePoint",
     "ANOMALY_SIGNALS",
     "check_health_consistency",
-    "write_health_log",
-    "read_health_log",
     "render_health_table",
     "render_prometheus",
 ]

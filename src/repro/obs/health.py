@@ -1,14 +1,19 @@
 """Live serve-mode health telemetry.
 
-A :class:`HealthMonitor` rides along a serve session and freezes one
-:class:`HealthSnapshot` per replayed batch/window.  Each snapshot pairs
+A :class:`HealthMonitor` rides along a serve session.  At attach time
+and at every window end it builds one
+:class:`~repro.obs.timeseries.TelemetryRow` (the simulator's cumulative
+counters and gauges), and it freezes each window as the
+:class:`HealthSnapshot` *between* two consecutive rows:
 
-* **windowed deltas** — the difference between two O(1)
-  :class:`repro.metrics.collector.CollectorTotals` views, so the
-  snapshots' deltas sum *bit-exactly* to the final collector totals
-  (:func:`check_health_consistency` enforces it), and
-* **instantaneous gauges** — open-query backlog, running P² delay
-  percentiles, per-NCL load skew (coefficient of variation).
+* **windowed deltas** — the difference of the two rows' eight
+  :class:`repro.metrics.collector.CollectorTotals` counters, so the
+  windows tile the session by construction and their deltas sum
+  *bit-exactly* to the final collector totals
+  (:func:`check_health_consistency` enforces it against the collector);
+* **gauges at the window end** — open-query backlog, running P² delay
+  percentiles, per-NCL load skew (coefficient of variation) and the
+  memory columns of the end row.
 
 Every value is derived from simulated time and the collector's
 counters — never the wall clock — so serve-mode health streams are
@@ -25,8 +30,10 @@ On top of the snapshot stream sit two consumers:
   hit-ratio, throughput, and backlog-growth signals, emitting
   ``health.anomaly`` events.
 
-Exposition: :func:`write_health_log` / :func:`read_health_log` persist
-the stream as JSONL in the run directory (floats round-trip exactly),
+Exposition: :meth:`HealthReport.to_records` / :meth:`HealthReport.
+from_records` are the ``health.jsonl`` records, written and read by
+:func:`repro.obs.timeseries.write_jsonl` / :func:`~repro.obs.timeseries.
+read_jsonl` (strict JSON; floats round-trip exactly);
 :func:`render_prometheus` emits the Prometheus text format for
 ``repro serve --prom-out``, and :func:`render_health_table` backs the
 ``repro watch`` CLI.
@@ -35,8 +42,7 @@ the stream as JSONL in the run directory (floats round-trip exactly),
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
-from pathlib import Path
+from dataclasses import asdict, dataclass, field, fields
 from typing import (
     Any,
     Dict,
@@ -51,8 +57,14 @@ from typing import (
 from repro.errors import TraceConsistencyError
 from repro.metrics.collector import CollectorTotals
 from repro.obs.events import TraceEvent, TraceEventKind
-from repro.obs.memory import MemorySample, render_memory_gauges
 from repro.obs.slo import SLOEngine, SLORule, SLOTransition
+from repro.obs.timeseries import (
+    Column,
+    TelemetryRow,
+    float_from_json,
+    jsonable,
+    render_rows,
+)
 
 __all__ = [
     "HealthSnapshot",
@@ -63,8 +75,6 @@ __all__ = [
     "CUSUMChangePoint",
     "ANOMALY_SIGNALS",
     "check_health_consistency",
-    "write_health_log",
-    "read_health_log",
     "render_health_table",
     "render_prometheus",
 ]
@@ -79,19 +89,23 @@ ANOMALY_SIGNALS: Tuple[str, ...] = (
 #: the eight windowed-delta counters (must mirror CollectorTotals order)
 _DELTA_FIELDS: Tuple[str, ...] = CollectorTotals._fields
 
+_MB = float(2**20)
+
 
 @dataclass(frozen=True)
 class HealthSnapshot:
-    """One frozen health window ``[start, end)`` of a serve session.
+    """One frozen health window ``[start, end)`` of a serve session:
+    the difference of the telemetry rows at ``start`` and ``end``
+    (:meth:`between`).
 
     The eight counter fields are **per-window deltas** of the
     collector's cumulative totals; ratios and throughput derive from
     those deltas (NaN when the window carries no evidence, e.g. a
     hit ratio over zero lookups).  ``delay_p*`` are the collector's
-    *running* P² estimates sampled at the window end — cheap O(1)
-    views, explicitly cumulative rather than windowed.  ``backlog`` is
-    the open-query set size at the window end and ``backlog_delta`` its
-    change since the previous window.
+    *running* P² estimates at the window end — explicitly cumulative
+    rather than windowed.  ``backlog`` is the pending-query count at
+    the window end and ``backlog_delta`` its change over the window.
+    The memory fields are the end row's memory columns.
     """
 
     index: int
@@ -121,26 +135,67 @@ class HealthSnapshot:
     ncl_load_cv: float
     # whether this window overlaps the flash-crowd surge (first cycle)
     flash_crowd: bool
-    # memory telemetry sampled at the window end (NaN/empty unless the
-    # run profiled memory; process counters, so deliberately outside the
+    # the end row's memory columns (NaN/empty unless the run profiled
+    # memory; process counters, so deliberately outside the
     # delta-consistency contract above)
     rss_mb: float = float("nan")
     py_heap_mb: float = float("nan")
     mem_accounted_mb: float = float("nan")
     mem_top: str = ""
+    mem_subsystems: Mapping[str, int] = field(default_factory=dict)
+
+    @classmethod
+    def between(
+        cls,
+        index: int,
+        before: TelemetryRow,
+        after: TelemetryRow,
+        flash_window: Optional[Tuple[float, float]] = None,
+    ) -> "HealthSnapshot":
+        """Window *index*, from the row at its start to the row at its end."""
+        delta = after.totals().delta(before.totals())
+        start, end = before.time, after.time
+        return cls(
+            index,
+            start,
+            end,
+            *delta,
+            backlog=after.pending_queries,
+            backlog_delta=after.pending_queries - before.pending_queries,
+            success_ratio=_ratio(delta.queries_satisfied, delta.queries_issued),
+            cache_hit_ratio=_ratio(delta.cache_hits, delta.cache_lookups),
+            queries_per_sim_second=_ratio(delta.queries_issued, end - start),
+            delay_p50=after.delay_p50,
+            delay_p95=after.delay_p95,
+            delay_p99=after.delay_p99,
+            ncl_load_cv=_coefficient_of_variation(after.ncl_load),
+            flash_crowd=_overlaps(flash_window, start, end),
+            rss_mb=after.rss_mb,
+            py_heap_mb=after.py_heap_mb,
+            mem_accounted_mb=after.mem_accounted_mb,
+            mem_top=after.mem_top,
+            mem_subsystems=after.mem_subsystems,
+        )
 
     def delta_totals(self) -> CollectorTotals:
         """This window's counter deltas as a :class:`CollectorTotals`."""
         return CollectorTotals(*(getattr(self, f) for f in _DELTA_FIELDS))
 
     def to_dict(self) -> Dict[str, Any]:
-        return asdict(self)
+        return jsonable(asdict(self))
 
     @classmethod
     def from_dict(cls, record: Mapping[str, Any]) -> "HealthSnapshot":
-        # Default-aware: health logs written before the memory fields
-        # existed load with those fields at their defaults.
-        return cls(**{f: record[f] for f in cls.__dataclass_fields__ if f in record})
+        values = {f.name: record[f.name] for f in fields(cls)}
+        for name in _FLOAT_FIELDS:
+            values[name] = float_from_json(values[name])
+        return cls(**values)
+
+
+#: the snapshot fields read back through :func:`float_from_json`
+_FLOAT_FIELDS: Tuple[str, ...] = tuple(
+    f.name for f in fields(HealthSnapshot) if f.type == "float"
+)
 
 
 @dataclass(frozen=True)
@@ -154,6 +209,8 @@ class HealthAnomaly:
     score: float
 
     def to_dict(self) -> Dict[str, Any]:
+        # An EWMA score is ±inf when the baseline has zero variance; the
+        # log writes it as "Infinity" / "-Infinity" (jsonable).
         return {
             "kind": "health.anomaly",
             "t": self.time,
@@ -162,6 +219,16 @@ class HealthAnomaly:
             "value": self.value,
             "score": self.score,
         }
+
+    @classmethod
+    def from_dict(cls, record: Mapping[str, Any]) -> "HealthAnomaly":
+        return cls(
+            time=float(record["t"]),
+            signal=str(record["signal"]),
+            detector=str(record["detector"]),
+            value=float_from_json(record["value"]),
+            score=float_from_json(record["score"]),
+        )
 
 
 class HealthReport(NamedTuple):
@@ -176,6 +243,46 @@ class HealthReport(NamedTuple):
     transitions: Tuple[SLOTransition, ...]
     anomalies: Tuple[HealthAnomaly, ...]
     flash_window: Optional[Tuple[float, float]]
+
+    def to_records(self) -> List[Dict[str, Any]]:
+        """The ``health.jsonl`` records: one ``health.meta`` header, then
+        ``health.snapshot``, ``slo.violated`` / ``slo.recovered`` and
+        ``health.anomaly`` records interleaved in time order (stable
+        within one timestamp: snapshot → SLO transitions → anomalies)."""
+        records: List[Tuple[float, int, Dict[str, Any]]] = []
+        for snap in self.snapshots:
+            records.append((snap.end, 0, {"kind": "health.snapshot", **snap.to_dict()}))
+        for transition in self.transitions:
+            records.append((transition.time, 1, transition.to_dict()))
+        for anomaly in self.anomalies:
+            records.append((anomaly.time, 2, anomaly.to_dict()))
+        records.sort(key=lambda item: (item[0], item[1]))
+        meta = {
+            "kind": "health.meta",
+            "snapshots": len(self.snapshots),
+            "flash_window": list(self.flash_window) if self.flash_window else None,
+        }
+        return [meta] + [record for _, _, record in records]
+
+    @classmethod
+    def from_records(cls, records: Sequence[Mapping[str, Any]]) -> "HealthReport":
+        """Inverse of :meth:`to_records`."""
+        snapshots: List[HealthSnapshot] = []
+        transitions: List[SLOTransition] = []
+        anomalies: List[HealthAnomaly] = []
+        flash_window: Optional[Tuple[float, float]] = None
+        for record in records:
+            kind = record.get("kind")
+            if kind == "health.meta":
+                raw = record.get("flash_window")
+                flash_window = (raw[0], raw[1]) if raw else None
+            elif kind == "health.snapshot":
+                snapshots.append(HealthSnapshot.from_dict(record))
+            elif kind in ("slo.violated", "slo.recovered"):
+                transitions.append(SLOTransition.from_dict(record))
+            elif kind == "health.anomaly":
+                anomalies.append(HealthAnomaly.from_dict(record))
+        return cls(tuple(snapshots), tuple(transitions), tuple(anomalies), flash_window)
 
 
 class EWMADrift:
@@ -284,13 +391,13 @@ class HealthMonitor:
         monitor = HealthMonitor(rules=slo_rules)
         monitor.attach(simulator)          # after start_session()
         ...
-        monitor.observe_window(i, start, end)   # after each batch
+        monitor.observe_window(end)        # after each batch
         report = monitor.report()
 
-    The monitor never touches the event loop: it reads O(1) views of
-    the collector and scheme state *between* windows, so its overhead
-    is one totals tuple plus detector arithmetic per window (the bench
-    guard caps monitored serve at 1.05x untraced).
+    The monitor never touches the event loop: *between* windows it asks
+    the simulator for one telemetry row, so its overhead is one row
+    plus detector arithmetic per window (the bench guard caps monitored
+    serve at 1.05x untraced).
     """
 
     def __init__(
@@ -319,8 +426,7 @@ class HealthMonitor:
         }
         self._simulator: Any = None
         self._baseline: Optional[CollectorTotals] = None
-        self._last_totals: Optional[CollectorTotals] = None
-        self._last_backlog = 0
+        self._last_row: Optional[TelemetryRow] = None
         self._flash_window: Optional[Tuple[float, float]] = None
 
     # --- lifecycle -----------------------------------------------------
@@ -328,14 +434,14 @@ class HealthMonitor:
     def attach(self, simulator: Any) -> None:
         """Bind to a simulator with an active serve session.
 
-        Captures the baseline totals (all zero right after
-        ``start_session()`` — warm-up generates no workload) so window
-        deltas start from the session's first batch.
+        Builds the baseline row at the end of warm-up (its totals are
+        all zero right after ``start_session()`` — warm-up generates no
+        workload), so the first window starts where the session's first
+        batch does.
         """
         self._simulator = simulator
-        self._baseline = simulator.metrics.totals()
-        self._last_totals = self._baseline
-        self._last_backlog = simulator.metrics.open_queries
+        self._last_row = simulator.telemetry_row(simulator.warmup_end)
+        self._baseline = self._last_row.totals()
         arrivals = getattr(simulator.workload_process, "arrivals", None)
         flash = getattr(arrivals, "flash_window", None)
         self._flash_window = flash() if callable(flash) else None
@@ -345,75 +451,21 @@ class HealthMonitor:
         """Collector totals at attach time (delta-consistency anchor)."""
         return self._baseline
 
-    @property
-    def flash_window(self) -> Optional[Tuple[float, float]]:
-        """The workload's flash-crowd surge window, when one exists."""
-        return self._flash_window
-
-    @property
-    def snapshots(self) -> Tuple[HealthSnapshot, ...]:
-        return tuple(self._snapshots)
-
-    @property
-    def last(self) -> Optional[HealthSnapshot]:
-        """The most recent snapshot (None before the first window)."""
-        return self._snapshots[-1] if self._snapshots else None
-
     # --- per-window observation ---------------------------------------
 
-    def observe_window(self, index: int, start: float, end: float) -> HealthSnapshot:
-        """Freeze the window ``[start, end)`` that just finished replaying.
+    def observe_window(self, end: float) -> HealthSnapshot:
+        """Freeze the window from the previous row to the row at *end*.
 
-        Must be called with the same ``end`` the session advanced to
-        (the collector's ``pending_queries`` requires non-decreasing
-        times).
+        Must be called with the time the session advanced to, never
+        decreasing (the collector's ``pending_queries`` requires it).
         """
-        if self._simulator is None or self._last_totals is None:
+        if self._last_row is None:
             raise RuntimeError("HealthMonitor.attach(simulator) must run first")
-        metrics = self._simulator.metrics
-        totals = metrics.totals()
-        delta = totals.delta(self._last_totals)
-        backlog = int(metrics.pending_queries(end))
-        duration = end - start
-        loads = self._simulator.ncl_load(end)
-        rss_mb = py_heap_mb = mem_accounted_mb = float("nan")
-        mem_top = ""
-        memory = getattr(self._simulator, "memory", None)
-        if memory is not None and memory.enabled:
-            mem_sample = memory.sample(end)
-            rss_mb = mem_sample.rss_mb
-            py_heap_mb = mem_sample.py_heap_mb
-            mem_accounted_mb = mem_sample.accounted_mb
-            mem_top = mem_sample.top_subsystem
-        snapshot = HealthSnapshot(
-            index=index,
-            start=start,
-            end=end,
-            queries_issued=delta.queries_issued,
-            queries_satisfied=delta.queries_satisfied,
-            duplicate_deliveries=delta.duplicate_deliveries,
-            late_deliveries=delta.late_deliveries,
-            cache_lookups=delta.cache_lookups,
-            cache_hits=delta.cache_hits,
-            data_generated=delta.data_generated,
-            responses_delivered=delta.responses_delivered,
-            backlog=backlog,
-            backlog_delta=backlog - self._last_backlog,
-            success_ratio=_ratio(delta.queries_satisfied, delta.queries_issued),
-            cache_hit_ratio=_ratio(delta.cache_hits, delta.cache_lookups),
-            queries_per_sim_second=_ratio(delta.queries_issued, duration),
-            delay_p50=metrics.delay_p50,
-            delay_p95=metrics.delay_p95,
-            delay_p99=metrics.delay_p99,
-            ncl_load_cv=_coefficient_of_variation(loads),
-            flash_crowd=_overlaps(self._flash_window, start, end),
-            rss_mb=rss_mb,
-            py_heap_mb=py_heap_mb,
-            mem_accounted_mb=mem_accounted_mb,
-            mem_top=mem_top,
+        row = self._simulator.telemetry_row(end)
+        snapshot = HealthSnapshot.between(
+            len(self._snapshots), self._last_row, row, self._flash_window
         )
-        self._last_totals = totals
-        self._last_backlog = backlog
+        self._last_row = row
         self._snapshots.append(snapshot)
         self.slo.evaluate(snapshot, self._recorder)
         self._detect(snapshot)
@@ -458,10 +510,6 @@ class HealthMonitor:
             anomalies=tuple(self._anomalies),
             flash_window=self._flash_window,
         )
-
-    def to_prometheus(self) -> str:
-        """Prometheus text exposition of the current health state."""
-        return render_prometheus(self.report(), self.slo)
 
 
 # --- derivations ------------------------------------------------------
@@ -547,96 +595,18 @@ def check_health_consistency(
 # --- exposition -------------------------------------------------------
 
 
-def write_health_log(path: Path, report: HealthReport) -> None:
-    """Persist a health report as JSONL (one record per line).
-
-    Record kinds: one ``health.meta`` header, then ``health.snapshot``,
-    ``slo.violated`` / ``slo.recovered`` and ``health.anomaly`` records
-    interleaved in time order (stable within one timestamp:
-    snapshot → SLO transitions → anomalies).  Floats round-trip exactly
-    through ``json`` (repr-based), preserving the bitwise contract on
-    disk.
-    """
-    import json
-
-    records: List[Tuple[float, int, Dict[str, Any]]] = []
-    for snap in report.snapshots:
-        record = {"kind": "health.snapshot"}
-        record.update(snap.to_dict())
-        records.append((snap.end, 0, record))
-    for transition in report.transitions:
-        records.append((transition.time, 1, transition.to_dict()))
-    for anomaly in report.anomalies:
-        records.append((anomaly.time, 2, anomaly.to_dict()))
-    records.sort(key=lambda item: (item[0], item[1]))
-    meta: Dict[str, Any] = {
-        "kind": "health.meta",
-        "snapshots": len(report.snapshots),
-        "flash_window": list(report.flash_window) if report.flash_window else None,
-    }
-    with path.open("w", encoding="utf-8") as handle:
-        handle.write(json.dumps(meta, sort_keys=True) + "\n")
-        for _, _, record in records:
-            handle.write(json.dumps(record, sort_keys=True) + "\n")
-
-
-def read_health_log(path: Path) -> HealthReport:
-    """Load a JSONL health log back into a :class:`HealthReport`."""
-    import json
-
-    snapshots: List[HealthSnapshot] = []
-    transitions: List[SLOTransition] = []
-    anomalies: List[HealthAnomaly] = []
-    flash_window: Optional[Tuple[float, float]] = None
-    with path.open("r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            record = json.loads(line)
-            kind = record.get("kind")
-            if kind == "health.meta":
-                raw = record.get("flash_window")
-                flash_window = (raw[0], raw[1]) if raw else None
-            elif kind == "health.snapshot":
-                snapshots.append(HealthSnapshot.from_dict(record))
-            elif kind in ("slo.violated", "slo.recovered"):
-                transitions.append(
-                    SLOTransition(
-                        time=float(record["t"]),
-                        rule=str(record["rule"]),
-                        kind=kind,
-                        field=str(record["field"]),
-                        value=float(record["value"]),
-                        target=float(record["target"]),
-                    )
-                )
-            elif kind == "health.anomaly":
-                anomalies.append(
-                    HealthAnomaly(
-                        time=float(record["t"]),
-                        signal=str(record["signal"]),
-                        detector=str(record["detector"]),
-                        value=float(record["value"]),
-                        score=float(record["score"]),
-                    )
-                )
-    return HealthReport(
-        snapshots=tuple(snapshots),
-        transitions=tuple(transitions),
-        anomalies=tuple(anomalies),
-        flash_window=flash_window,
-    )
-
-
-def _fmt(value: float, digits: int = 3) -> str:
-    if isinstance(value, bool):
-        return "yes" if value else "-"
-    if isinstance(value, int):
-        return str(value)
-    if math.isnan(value):
-        return "-"
-    return f"{value:.{digits}f}"
+#: the ``repro watch`` columns of a health window
+_HEALTH_TABLE: Tuple[Column, ...] = (
+    ("win", "index", 4, 0),
+    ("start", "start", 10, 0),
+    ("end", "end", 10, 0),
+    ("qps", "queries_per_sim_second", 8, 4),
+    ("succ", "success_ratio", 6, 3),
+    ("hit", "cache_hit_ratio", 6, 3),
+    ("backlog", "backlog", 8, 0),
+    ("p95", "delay_p95", 10, 1),
+    ("flash", "flash_crowd", 5, 0),
+)
 
 
 def render_health_table(report: HealthReport, limit: Optional[int] = None) -> str:
@@ -647,13 +617,8 @@ def render_health_table(report: HealthReport, limit: Optional[int] = None) -> st
     violation/recovery edges, ``~signal`` marks anomaly firings.
 
     An ``rss_mb`` column appears only when at least one snapshot
-    carries memory telemetry, so unprofiled runs render the historical
-    layout unchanged.
+    carries memory telemetry.
     """
-    snapshots = report.snapshots
-    if limit is not None and limit > 0:
-        snapshots = snapshots[-limit:]
-    has_memory = any(not math.isnan(s.rss_mb) for s in report.snapshots)
     flags: Dict[float, List[str]] = {}
     for transition in report.transitions:
         mark = "!" if transition.kind == "slo.violated" else "+"
@@ -662,25 +627,14 @@ def render_health_table(report: HealthReport, limit: Optional[int] = None) -> st
         flags.setdefault(anomaly.time, []).append(
             f"~{anomaly.signal}[{anomaly.detector}]"
         )
-    mem_header = f" {'rss_mb':>9}" if has_memory else ""
-    header = (
-        f"{'win':>4} {'start':>10} {'end':>10} {'qps':>8} {'succ':>6} "
-        f"{'hit':>6} {'backlog':>8} {'p95':>10} {'flash':>5}{mem_header}  flags"
-    )
-    lines = [header, "-" * len(header)]
-    for snap in snapshots:
-        marks = list(flags.get(snap.end, []))
-        mem_cell = f" {_fmt(snap.rss_mb, 1):>9}" if has_memory else ""
-        lines.append(
-            f"{snap.index:>4} {snap.start:>10.0f} {snap.end:>10.0f} "
-            f"{_fmt(snap.queries_per_sim_second, 4):>8} "
-            f"{_fmt(snap.success_ratio):>6} "
-            f"{_fmt(snap.cache_hit_ratio):>6} "
-            f"{snap.backlog:>8} "
-            f"{_fmt(snap.delay_p95, 1):>10} "
-            f"{_fmt(snap.flash_crowd):>5}{mem_cell}  "
-            f"{' '.join(marks)}".rstrip()
-        )
+    columns = _HEALTH_TABLE
+    if any(not math.isnan(s.rss_mb) for s in report.snapshots):
+        columns += (("rss_mb", "rss_mb", 9, 1),)
+    records = [
+        {**snap.to_dict(), "flags": " ".join(flags.get(snap.end, ()))}
+        for snap in report.snapshots
+    ]
+    lines = render_rows(records, columns + (("flags", "flags", 0, 0),), limit)
     violated = sum(1 for t in report.transitions if t.kind == "slo.violated")
     summary = (
         f"{len(report.snapshots)} windows · {violated} SLO violation(s) · "
@@ -730,19 +684,16 @@ def _prom_label(value: str) -> str:
     )
 
 
-def render_prometheus(
-    report: HealthReport,
-    slo: Optional[SLOEngine] = None,
-    memory: Optional[MemorySample] = None,
-) -> str:
+def render_prometheus(report: HealthReport, slo: Optional[SLOEngine] = None) -> str:
     """Prometheus text exposition (one scrape) of the latest health state.
 
     Exports the last snapshot's gauges under ``repro_health_*``, the
     total window/anomaly counters, and — when an SLO engine is given —
     one ``repro_slo_violated{rule=...}`` gauge per rule (1 while the
-    rule is in the violated state).  When a :class:`MemorySample` is
-    given (memory-profiled serves), the ``repro_health_rss_bytes`` and
-    per-subsystem memory gauges are appended.
+    rule is in the violated state).  When the last window's end row
+    carries memory columns (memory-profiled serves), the
+    ``repro_health_rss_bytes`` process gauge and the accounted and
+    per-subsystem ``repro_memory_*`` gauges follow.
     """
     lines: List[str] = []
     last = report.snapshots[-1] if report.snapshots else None
@@ -773,7 +724,20 @@ def render_prometheus(
             lines.append(
                 f'repro_slo_violated{{rule="{_prom_label(rule.name)}"}} {state}'
             )
-    text = "\n".join(lines) + "\n"
-    if memory is not None:
-        text += render_memory_gauges(memory)
-    return text
+    if last is not None and not math.isnan(last.rss_mb):
+        lines += [
+            "# HELP repro_health_rss_bytes Process peak RSS (high-water mark).",
+            "# TYPE repro_health_rss_bytes gauge",
+            f"repro_health_rss_bytes {int(last.rss_mb * _MB)}",
+            "# HELP repro_memory_accounted_bytes Sum of subsystem accountants.",
+            "# TYPE repro_memory_accounted_bytes gauge",
+            f"repro_memory_accounted_bytes {int(last.mem_accounted_mb * _MB)}",
+            "# HELP repro_memory_subsystem_bytes Attributed bytes per subsystem.",
+            "# TYPE repro_memory_subsystem_bytes gauge",
+        ]
+        lines += [
+            f'repro_memory_subsystem_bytes{{subsystem="{name}"}} '
+            f"{int(last.mem_subsystems[name])}"
+            for name in sorted(last.mem_subsystems)
+        ]
+    return "\n".join(lines) + "\n"

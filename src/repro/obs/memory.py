@@ -10,19 +10,20 @@ that gap with two complementary instruments:
   deterministic ``nbytes()`` callable under a name from
   :data:`SUBSYSTEMS`.  :meth:`Simulator.memory_breakdown` sums them at
   any instant — no sampling, no process counters, reproducible.
-* **Sampled process telemetry** — a :class:`MemoryMonitor` snapshots
+* **Memory columns** — under ``mem_profile`` a :class:`MemoryMonitor`
+  fills the memory columns of each
+  :class:`~repro.obs.timeseries.TelemetryRow` the simulator builds:
   peak RSS (:func:`peak_rss_bytes`), the tracemalloc Python heap (when
-  tracing), and the accountant breakdown at the existing time-series /
-  health-window boundaries, producing frozen :class:`MemorySample`
-  records that persist to ``memory.jsonl``.
+  tracing) and the duty-cycled accountant breakdown.  The rows persist
+  in ``timeseries.jsonl`` (simulate) and ``health.jsonl`` (serve).
 
 Both live **outside** the frozen :class:`~repro.metrics.results.
 SimulationResult`: process counters differ between workers, so they
 travel next to the results like wall-clock throughput does, and the
-bitwise serial==workers contract never sees them.  Sampling follows the
+bitwise serial==workers contract never sees them.  Filling follows the
 ``.enabled`` zero-overhead convention — the shared
 :data:`NULL_MEMORY_MONITOR` makes a profiling-off run pay one attribute
-read per hook site.
+read per row, and refuses work that reaches it unguarded.
 
 :func:`check_memory_consistency` is the honesty invariant: the
 accountant sum must reconcile against the tracemalloc-reported heap
@@ -32,15 +33,13 @@ into fiction as subsystems grow new containers.
 
 from __future__ import annotations
 
-import json
 import math
 import resource
 import sys
 import time
 import tracemalloc
-from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Set, Union
+from types import ModuleType
+from typing import Any, Callable, Dict, Mapping, Optional, Set
 
 import numpy as np
 
@@ -50,16 +49,11 @@ __all__ = [
     "SUBSYSTEMS",
     "peak_rss_bytes",
     "deep_sizeof",
-    "MemorySample",
     "MemoryMonitor",
     "NullMemoryMonitor",
     "NULL_MEMORY_MONITOR",
     "check_memory_consistency",
-    "write_memory_log",
-    "read_memory_log",
-    "render_memory_table",
     "render_memory_breakdown",
-    "render_memory_gauges",
 ]
 
 #: The attribution universe.  Accountants register under exactly these
@@ -74,7 +68,7 @@ SUBSYSTEMS = {
     "metrics": "MetricsCollector open/satisfied query maps, running sums and delay sketches",
     "workload": "workload catalogue: retained data items and popularity indices",
     "events": "event-engine queue of scheduled simulation events",
-    "observability": "trace recorder, registry instruments, time-series rows and memory samples",
+    "observability": "trace recorder, registry instruments and time-series rows",
 }
 
 _MB = float(2**20)
@@ -120,7 +114,7 @@ def deep_sizeof(obj: Any, seen: Optional[Set[int]] = None) -> int:
         if ident in seen:
             continue
         seen.add(ident)
-        if isinstance(current, (type, type(json), type(peak_rss_bytes))) or callable(
+        if isinstance(current, (type, ModuleType, type(peak_rss_bytes))) or callable(
             current
         ):
             continue
@@ -152,75 +146,25 @@ def deep_sizeof(obj: Any, seen: Optional[Set[int]] = None) -> int:
     return total
 
 
-@dataclass(frozen=True)
-class MemorySample:
-    """One sampled memory observation (simulated-time stamped).
-
-    ``rss_mb`` is the process peak RSS (high-water mark — monotone
-    within a run); ``py_heap_mb`` is the tracemalloc *current* Python
-    heap, NaN unless tracing was started by the caller;
-    ``accounted_mb`` is the subsystem accountants' sum at sample time,
-    with the per-subsystem bytes in ``subsystems`` and the largest
-    holder named in ``top_subsystem``.
-    """
-
-    time: float
-    rss_mb: float
-    py_heap_mb: float
-    accounted_mb: float
-    top_subsystem: str = ""
-    subsystems: Dict[str, int] = field(default_factory=dict)
-
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-ready record; NaN floats export as ``None`` (JSON
-        ``null`` round-trips, bare ``NaN`` is not valid JSON)."""
-
-        def _json_float(value: float) -> Optional[float]:
-            return None if math.isnan(value) else value
-
-        return {
-            "time": self.time,
-            "rss_mb": _json_float(self.rss_mb),
-            "py_heap_mb": _json_float(self.py_heap_mb),
-            "accounted_mb": _json_float(self.accounted_mb),
-            "top_subsystem": self.top_subsystem,
-            "subsystems": dict(self.subsystems),
-        }
-
-    @classmethod
-    def from_dict(cls, record: Mapping[str, Any]) -> "MemorySample":
-        def _from_json(value: Optional[float]) -> float:
-            return float("nan") if value is None else float(value)
-
-        return cls(
-            time=float(record["time"]),
-            rss_mb=_from_json(record["rss_mb"]),
-            py_heap_mb=_from_json(record["py_heap_mb"]),
-            accounted_mb=_from_json(record["accounted_mb"]),
-            top_subsystem=record.get("top_subsystem", ""),
-            subsystems={str(k): int(v) for k, v in record.get("subsystems", {}).items()},
-        )
-
-
 class MemoryMonitor:
-    """Accountant registry + sampler behind one ``enabled`` flag.
+    """Accountant registry + memory-column filler behind one ``enabled`` flag.
 
     Construction is cheap (the accountants are zero-argument closures);
-    the cost lives entirely in :meth:`sample`, which hook sites only
+    the cost lives entirely in :meth:`columns`, which hook sites only
     reach through an ``enabled`` guard.
 
-    The attribution walk is the expensive part of a sample (a deep
-    sizeof over every subsystem), so :meth:`sample` **duty-cycles** it:
-    after each full breakdown the next one is scheduled no sooner than
-    ``cost / breakdown_budget`` wall-seconds later, and samples in
-    between carry the latest attribution forward.  That bounds
-    enabled-mode overhead near ``breakdown_budget`` (a fraction of wall
-    time) at any scale — the bench guard's ``_memory`` twin holds the
-    total under 5%.  The cheap fields (peak RSS, tracemalloc heap) are
-    refreshed on every sample regardless.
+    The attribution walk is the expensive part of a fill (a deep sizeof
+    over every subsystem), so :meth:`columns` **duty-cycles** it: after
+    each full breakdown the next one is scheduled no sooner than
+    ``cost / breakdown_budget`` wall-seconds later, and rows in between
+    carry the latest attribution forward.  That bounds enabled-mode
+    overhead near ``breakdown_budget`` (a fraction of wall time) at any
+    scale — the bench guard's ``_memory`` twin holds the total under 5%.
+    The cheap columns (peak RSS, tracemalloc heap) are read on every
+    fill regardless.
     """
 
-    #: hook sites skip sampling entirely when this is False
+    #: hook sites fill no memory columns when this is False
     enabled: bool = True
 
     def __init__(
@@ -231,7 +175,6 @@ class MemoryMonitor:
         if not (0.0 < breakdown_budget <= 1.0):
             raise ConfigurationError("breakdown_budget must be in (0, 1]")
         self._accountants: Dict[str, Callable[[], int]] = {}
-        self.samples: List[MemorySample] = []
         self.breakdown_budget = breakdown_budget
         self._last_breakdown: Optional[Dict[str, int]] = None
         self._next_breakdown_wall = 0.0
@@ -257,8 +200,9 @@ class MemoryMonitor:
         """Per-subsystem bytes right now (accountants, no sampling)."""
         return {name: int(fn()) for name, fn in sorted(self._accountants.items())}
 
-    def sample(self, now: float) -> MemorySample:
-        """Snapshot RSS / heap / breakdown at simulated time *now*.
+    def columns(self) -> Dict[str, Any]:
+        """The memory columns of a :class:`~repro.obs.timeseries.
+        TelemetryRow`, by field name.
 
         The breakdown refreshes on the duty cycle described in the
         class docstring; ``rss_mb`` / ``py_heap_mb`` are always live.
@@ -273,50 +217,39 @@ class MemoryMonitor:
             self._last_breakdown = breakdown
         else:
             breakdown = self._last_breakdown
-        accounted = sum(breakdown.values())
-        top = max(breakdown, key=breakdown.__getitem__) if breakdown else ""
         heap = (
             tracemalloc.get_traced_memory()[0] / _MB
             if tracemalloc.is_tracing()
             else float("nan")
         )
-        sample = MemorySample(
-            time=now,
-            rss_mb=peak_rss_bytes() / _MB,
-            py_heap_mb=heap,
-            accounted_mb=accounted / _MB,
-            top_subsystem=top,
-            subsystems=breakdown,
-        )
-        self.samples.append(sample)
-        return sample
+        return {
+            "rss_mb": peak_rss_bytes() / _MB,
+            "py_heap_mb": heap,
+            "mem_accounted_mb": sum(breakdown.values()) / _MB,
+            "mem_top": max(breakdown, key=breakdown.__getitem__) if breakdown else "",
+            "mem_subsystems": breakdown,
+        }
 
 
 class NullMemoryMonitor(MemoryMonitor):
-    """Profiling off: hook sites must guard on ``enabled``."""
+    """Profiling off: hook sites guard on ``enabled``, and work that
+    reaches the shared instance anyway raises."""
 
     enabled = False
 
-    def __init__(self) -> None:
-        super().__init__()
-
     def register(self, name: str, accountant: Callable[[], int]) -> None:
-        # Tolerate registration (it is construction-time, not hot), but
-        # keep the shared singleton stateless.
-        pass
+        raise ConfigurationError(
+            "memory profiling is off; the null monitor takes no accountants"
+        )
 
-    def sample(self, now: float) -> MemorySample:  # pragma: no cover - guarded
-        # Tolerate stray samples rather than crash a live run; the guard
-        # convention makes this path unreachable from repo code.
-        return MemorySample(
-            time=now,
-            rss_mb=float("nan"),
-            py_heap_mb=float("nan"),
-            accounted_mb=float("nan"),
+    def columns(self) -> Dict[str, Any]:
+        raise ConfigurationError(
+            "memory profiling is off; guard the hook on memory.enabled"
         )
 
 
-#: Shared default monitor — stateless, so one instance serves the process.
+#: Shared default monitor: stateless (it refuses work), so one instance
+#: serves the process.
 NULL_MEMORY_MONITOR = NullMemoryMonitor()
 
 
@@ -364,71 +297,7 @@ def check_memory_consistency(
         )
 
 
-# --- persistence (memory.jsonl) --------------------------------------------
-
-
-def write_memory_log(
-    path: Union[str, Path], samples: Iterable[MemorySample]
-) -> None:
-    """Write samples as JSONL with a ``memory.meta`` header.
-
-    Floats serialise via ``repr`` (the json default), so
-    :func:`read_memory_log` round-trips them bit-exactly — same
-    contract as ``health.jsonl``.
-    """
-    rows = list(samples)
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8") as handle:
-        meta = {"kind": "memory.meta", "samples": len(rows)}
-        handle.write(json.dumps(meta, sort_keys=True) + "\n")
-        for sample in rows:
-            record = {"kind": "memory.sample", **sample.to_dict()}
-            handle.write(json.dumps(record, sort_keys=True) + "\n")
-
-
-def read_memory_log(path: Union[str, Path]) -> List[MemorySample]:
-    """Load ``memory.jsonl`` back into :class:`MemorySample` records."""
-    samples: List[MemorySample] = []
-    with Path(path).open("r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            record = json.loads(line)
-            if record.get("kind") != "memory.sample":
-                continue
-            samples.append(MemorySample.from_dict(record))
-    return samples
-
-
 # --- rendering --------------------------------------------------------------
-
-
-def _fmt_mb(value: float) -> str:
-    if value != value:  # NaN
-        return "-"
-    return f"{value:.1f}"
-
-
-def render_memory_table(
-    samples: Iterable[MemorySample], limit: Optional[int] = None
-) -> str:
-    """Fixed-width sample table for ``repro report`` / ``repro watch``."""
-    rows = list(samples)
-    if limit is not None and limit >= 0:
-        rows = rows[-limit:]
-    lines = [
-        f"{'time':>12s} {'rss_mb':>9s} {'heap_mb':>9s} {'acct_mb':>9s}  top subsystem"
-    ]
-    for sample in rows:
-        lines.append(
-            f"{sample.time:12.1f} {_fmt_mb(sample.rss_mb):>9s} "
-            f"{_fmt_mb(sample.py_heap_mb):>9s} {_fmt_mb(sample.accounted_mb):>9s}  "
-            f"{sample.top_subsystem or '-'}"
-        )
-    lines.append(f"{len(rows)} memory sample(s)")
-    return "\n".join(lines)
 
 
 def render_memory_breakdown(breakdown: Mapping[str, int]) -> str:
@@ -441,28 +310,3 @@ def render_memory_breakdown(breakdown: Mapping[str, int]) -> str:
         lines.append(f"{name:>14s} {nbytes / _MB:10.1f} MB  {share:6.1%}")
     lines.append(f"{'total':>14s} {total / _MB:10.1f} MB")
     return "\n".join(lines)
-
-
-def render_memory_gauges(sample: MemorySample) -> str:
-    """Prometheus text gauges for the latest memory sample.
-
-    Appended to :func:`repro.obs.health.render_prometheus` output when
-    memory profiling is on: one ``repro_health_rss_bytes`` process gauge
-    plus a ``repro_memory_subsystem_bytes`` gauge per accountant.
-    """
-    lines = [
-        "# HELP repro_health_rss_bytes Process peak RSS (high-water mark).",
-        "# TYPE repro_health_rss_bytes gauge",
-        f"repro_health_rss_bytes {int(sample.rss_mb * _MB)}",
-        "# HELP repro_memory_accounted_bytes Sum of subsystem accountants.",
-        "# TYPE repro_memory_accounted_bytes gauge",
-        f"repro_memory_accounted_bytes {int(sample.accounted_mb * _MB)}",
-        "# HELP repro_memory_subsystem_bytes Attributed bytes per subsystem.",
-        "# TYPE repro_memory_subsystem_bytes gauge",
-    ]
-    for name in sorted(sample.subsystems):
-        lines.append(
-            f'repro_memory_subsystem_bytes{{subsystem="{name}"}} '
-            f"{int(sample.subsystems[name])}"
-        )
-    return "\n".join(lines) + "\n"

@@ -35,6 +35,7 @@ from typing import Any, Dict, List, Mapping, Sequence, Tuple
 
 from repro.errors import ConfigurationError
 from repro.obs.events import TraceEvent, TraceEventKind
+from repro.obs.timeseries import float_from_json
 
 __all__ = [
     "SLORule",
@@ -185,6 +186,17 @@ class SLOTransition:
             "value": self.value,
             "target": self.target,
         }
+
+    @classmethod
+    def from_dict(cls, record: Mapping[str, Any]) -> "SLOTransition":
+        return cls(
+            time=float(record["t"]),
+            rule=str(record["rule"]),
+            kind=str(record["kind"]),
+            field=str(record["field"]),
+            value=float_from_json(record["value"]),
+            target=float_from_json(record["target"]),
+        )
 
 
 class SLOEngine:

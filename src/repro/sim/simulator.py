@@ -31,7 +31,7 @@ from repro.metrics.collector import MetricsCollector
 from repro.metrics.results import SimulationResult
 from repro.obs.causality import build_causality
 from repro.obs.events import TraceEvent, TraceEventKind
-from repro.obs.memory import NULL_MEMORY_MONITOR, MemoryMonitor, MemorySample, deep_sizeof
+from repro.obs.memory import NULL_MEMORY_MONITOR, MemoryMonitor, deep_sizeof
 from repro.obs.primitives import MetricsRegistry
 from repro.obs.profile import NULL_PROFILER, Profiler, maybe_span, set_active_profiler
 from repro.obs.recorder import (
@@ -40,7 +40,7 @@ from repro.obs.recorder import (
     MemoryRecorder,
     TraceRecorder,
 )
-from repro.obs.timeseries import NULL_SAMPLER, TimeSeriesSample, TimeSeriesSampler
+from repro.obs.timeseries import NULL_SAMPLER, TelemetryRow, TimeSeriesSampler
 from repro.rng import SeedSequenceFactory
 from repro.sim.dynamics import DynamicsConfig, DynamicsEvent, NetworkDynamics
 from repro.sim.engine import EventEngine
@@ -92,21 +92,21 @@ class SimulatorConfig:
         kernels.  Off by default; every span site guards on
         ``profiler.enabled``, so disabled runs pay one attribute read.
     timeseries:
-        Record the extended per-sample telemetry
-        (:class:`repro.obs.timeseries.TimeSeriesSampler`: per-node
-        occupancy, per-NCL load, cache-hit ratio, pending queries) at
-        every ``SAMPLE_METRICS`` event.  Off by default.
+        Record one :class:`repro.obs.timeseries.TelemetryRow`
+        (cumulative counters, pending queries, delay quantiles, per-NCL
+        load, per-node occupancy) at every ``SAMPLE_METRICS`` event in
+        :class:`repro.obs.timeseries.TimeSeriesSampler`.  Off by default.
     streaming_metrics:
         Nothing reads it: every run takes the one bounded
         :class:`repro.metrics.collector.MetricsCollector` path.  Kept
         only so callers that still pass it keep working.
     mem_profile:
-        Sample memory telemetry (peak RSS, tracemalloc heap when
-        tracing, per-subsystem accountant breakdown) at every
-        ``SAMPLE_METRICS`` event via :class:`repro.obs.memory.
-        MemoryMonitor`.  Off by default; the hook guards on
-        ``memory.enabled`` and the samples travel outside the frozen
-        result, so enabling it cannot change any simulation outcome.
+        Fill the memory columns (peak RSS, tracemalloc heap when
+        tracing, per-subsystem accountant breakdown) of every telemetry
+        row the run builds, via :class:`repro.obs.memory.MemoryMonitor`.
+        Off by default; the hook guards on ``memory.enabled`` and the
+        rows travel outside the frozen result, so enabling it cannot
+        change any simulation outcome.
     sparse_graph:
         Storage mode of the estimator's contact-graph snapshots:
         ``True``/``False`` force adjacency-list/dense storage, ``None``
@@ -214,9 +214,9 @@ class Simulator:
             arrival_rng=self._factory.generator("workload.arrivals"),
         )
         # Accountants are always built (cheap closures over existing
-        # attributes) so memory_breakdown() answers at any time; the
-        # *sampling* monitor is opt-in behind the .enabled guard, same
-        # zero-overhead convention as the profiler and sampler above.
+        # attributes) so memory_breakdown() answers at any time; filling
+        # the rows' memory columns is opt-in behind the .enabled guard,
+        # same zero-overhead convention as the profiler and sampler above.
         self._memory_accountants = self._build_memory_accountants()
         self.memory: MemoryMonitor = (
             MemoryMonitor(self._memory_accountants)
@@ -450,25 +450,21 @@ class Simulator:
                     },
                 )
             )
-        mem_sample: Optional[MemorySample] = None
-        if self.memory.enabled:
-            mem_sample = self.memory.sample(now)
-            if self.recorder.enabled:
+        if self.timeseries.enabled:
+            row = self.telemetry_row(now)
+            self.timeseries.record(row)
+            if self.memory.enabled and self.recorder.enabled:
                 self.recorder.emit(
                     TraceEvent(
                         time=now,
                         kind=TraceEventKind.MEMORY_SAMPLED,
                         attrs={
-                            "rss_mb": mem_sample.rss_mb,
-                            "accounted_mb": mem_sample.accounted_mb,
-                            "top_subsystem": mem_sample.top_subsystem,
+                            "rss_mb": row.rss_mb,
+                            "accounted_mb": row.mem_accounted_mb,
+                            "top_subsystem": row.mem_top,
                         },
                     )
                 )
-        if self.timeseries.enabled:
-            self.timeseries.record(
-                self._build_sample(now, len(live), cached, mem_sample)
-            )
 
     # --- memory attribution ------------------------------------------------
 
@@ -529,13 +525,11 @@ class Simulator:
 
     def _obs_nbytes(self) -> int:
         """Bytes of observability state: recorder buffers, registry
-        instruments, extended time-series rows, and the memory samples
-        themselves."""
+        instruments and time-series rows."""
         seen: Set[int] = set()
         total = deep_sizeof(self.recorder, seen)
         total += deep_sizeof(self.registry, seen)
         total += deep_sizeof(self.timeseries, seen)
-        total += deep_sizeof(self.memory.samples, seen)
         return total
 
     def memory_breakdown(self) -> Dict[str, int]:
@@ -566,44 +560,31 @@ class Simulator:
                 ncl_load[central] = ncl_load.get(central, 0) + held
         return ncl_load
 
-    def _build_sample(
-        self,
-        now: float,
-        live_items: int,
-        cached_copies: int,
-        mem_sample: Optional[MemorySample] = None,
-    ) -> TimeSeriesSample:
-        """Assemble one extended telemetry sample (sampler enabled only).
+    def telemetry_row(self, now: float) -> TelemetryRow:
+        """The run's cumulative counters and gauges at *now*.
 
-        Memory fields stay at their NaN/empty defaults unless this
-        sample coincided with an enabled memory monitor — the sampler's
-        schema is identical either way, only the values fill in.
+        The one builder of :class:`~repro.obs.timeseries.TelemetryRow`:
+        the time-series sampler keeps one per ``SAMPLE_METRICS`` event,
+        the serve-mode health monitor one per window end.  Memory
+        columns are filled only under ``mem_profile``.  Successive calls
+        need non-decreasing *now* (``pending_queries`` requires it).
         """
-        node_occupancy = tuple(
-            node.buffer.used / node.buffer.capacity for node in self.nodes
-        )
-        ncl_load = self.ncl_load(now)
-        memory_fields: Dict[str, object] = {}
-        if mem_sample is not None:
-            memory_fields = {
-                "rss_mb": mem_sample.rss_mb,
-                "py_heap_mb": mem_sample.py_heap_mb,
-                "mem_top": mem_sample.top_subsystem,
-            }
-        return TimeSeriesSample(
-            time=now,
-            live_items=live_items,
-            cached_copies=cached_copies,
-            queries_issued=self.metrics.queries_issued,
-            queries_satisfied=self.metrics.queries_satisfied,
-            pending_queries=self.metrics.pending_queries(now),
-            cache_lookups=self.metrics.cache_lookups,
-            cache_hits=self.metrics.cache_hits,
-            node_occupancy=node_occupancy,
-            ncl_load=ncl_load,
-            delay_p50=self.metrics.delay_p50,
-            delay_p95=self.metrics.delay_p95,
-            **memory_fields,
+        metrics = self.metrics
+        memory = self.memory.columns() if self.memory.enabled else {}
+        return TelemetryRow(
+            now,
+            *metrics.totals(),
+            live_items=len(self.workload_process.live_items(now)),
+            cached_copies=sum(node.buffer.live_count(now) for node in self.nodes),
+            pending_queries=metrics.pending_queries(now),
+            delay_p50=metrics.delay_p50,
+            delay_p95=metrics.delay_p95,
+            delay_p99=metrics.delay_p99,
+            ncl_load=self.ncl_load(now),
+            node_occupancy=tuple(
+                node.buffer.used / node.buffer.capacity for node in self.nodes
+            ),
+            **memory,
         )
 
     # --- run ------------------------------------------------------------

@@ -81,7 +81,8 @@ class TestRenderReport:
     def test_health_log_renders_live_health_section(self, experiment, tmp_path):
         from pathlib import Path
 
-        from repro.obs.health import HealthReport, HealthSnapshot, write_health_log
+        from repro.obs.health import HealthReport, HealthSnapshot
+        from repro.obs.timeseries import write_jsonl
 
         run_dir = str(tmp_path / "run")
         save_run(experiment, run_dir)
@@ -98,7 +99,7 @@ class TestRenderReport:
         report = HealthReport(
             snapshots=(snapshot,), transitions=(), anomalies=(), flash_window=None
         )
-        write_health_log(Path(run_dir) / "health.jsonl", report)
+        write_jsonl(report.to_records(), Path(run_dir) / "health.jsonl")
         rendered = render_run_report(run_dir)
         assert "## Live health" in rendered
         assert "1 windows" in rendered

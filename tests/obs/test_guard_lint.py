@@ -1,9 +1,10 @@
 """The obs-guard AST lint: every observability hook site reads ``enabled``.
 
 The zero-overhead contract (DESIGN.md Observability) demands that hot
-code *never* constructs a :class:`TraceEvent`, opens a profiler span, or
-records a time-series sample without first reading the instrument's
-``enabled`` attribute — the disabled path must cost one attribute read.
+code *never* constructs a :class:`TraceEvent`, opens a profiler span,
+builds or records a telemetry row, or fills its memory columns without
+first reading the instrument's ``enabled`` attribute — the disabled
+path must cost one attribute read.
 The lint walks the AST of every module under ``src/repro`` (the
 ``repro.obs`` package itself excluded — it implements the instruments)
 and flags hook sites with no reachable ``.enabled`` guard.
@@ -13,8 +14,10 @@ Hook sites checked:
 * ``TraceEvent(...)`` constructions and ``<recv>.emit(...)`` calls,
 * ``<prof>.span(...)`` / ``<prof>.add(...)`` / ``<prof>.start(...)``
   calls on profiler-named receivers,
-* ``<...timeseries...>.record(...)`` sampler calls,
-* ``<...memory...>.sample(...)`` memory-monitor calls.
+* the time-series sampler: ``<...timeseries...>.record(...)`` calls and
+  every ``<...>.telemetry_row(...)`` call (building a row is the
+  sampler's cost; the health monitor's calls live in ``repro.obs``),
+* ``<...memory...>.columns(...)`` memory-column fills.
 
 A site counts as guarded when an ``if``/ternary test reading
 ``.enabled`` **on a receiver of the same instrument family** (trace
@@ -81,8 +84,10 @@ def _hook_name(call):
         return f"{receiver}.{func.attr}(...)", "profiler"
     if func.attr == "record" and any(hint in receiver for hint in SAMPLER_HINTS):
         return f"{receiver}.record(...)", "sampler"
-    if func.attr == "sample" and any(hint in receiver for hint in MEMORY_HINTS):
-        return f"{receiver}.sample(...)", "memory"
+    if func.attr == "telemetry_row":
+        return f"{receiver}.telemetry_row(...)", "sampler"
+    if func.attr == "columns" and any(hint in receiver for hint in MEMORY_HINTS):
+        return f"{receiver}.columns(...)", "memory"
     return None
 
 
@@ -230,10 +235,50 @@ def test_guard_after_hook_does_not_count():
 
 
 def test_ignores_unrelated_receivers():
-    # set.add, subprocess start, timeline record: not obs hooks.
+    # set.add, subprocess start, timeline record, frame columns: not obs hooks.
     source = (
-        "def busy(seen, timeline, item):\n"
+        "def busy(seen, timeline, frame, item):\n"
         "    seen.add(item)\n"
         "    timeline.record(1.0, 2, 3, 4, 5, 0.5)\n"
+        "    frame.columns()\n"
     )
     assert _unguarded_hooks(source) == []
+
+
+def test_flags_unguarded_row_record_and_memory_fill():
+    # _handle_sample without its sampler guard, telemetry_row without
+    # its memory guard: every sampler and memory hook fires.
+    source = (
+        "def _handle_sample(self, now):\n"
+        "    self.timeseries.record(self.telemetry_row(now))\n"
+        "def telemetry_row(self, now):\n"
+        "    return Row(now, **self.memory.columns())\n"
+    )
+    assert {hook for _line, hook in _unguarded_hooks(source)} == {
+        "self.timeseries.record(...)",
+        "self.telemetry_row(...)",
+        "self.memory.columns(...)",
+    }
+
+
+def test_accepts_guarded_row_record_and_memory_fill():
+    source = (
+        "def _handle_sample(self, now):\n"
+        "    if self.timeseries.enabled:\n"
+        "        self.timeseries.record(self.telemetry_row(now))\n"
+        "def telemetry_row(self, now):\n"
+        "    memory = self.memory.columns() if self.memory.enabled else {}\n"
+        "    return Row(now, **memory)\n"
+    )
+    assert _unguarded_hooks(source) == []
+
+
+def test_sampler_guard_does_not_cover_memory_fill():
+    source = (
+        "def telemetry_row(self, now):\n"
+        "    if self.timeseries.enabled:\n"
+        "        return Row(now, **self.memory.columns())\n"
+    )
+    assert [hook for _line, hook in _unguarded_hooks(source)] == [
+        "self.memory.columns(...)"
+    ]

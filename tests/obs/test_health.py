@@ -1,6 +1,7 @@
 """Tests for the live health telemetry layer (``repro.obs.health``)."""
 
 import dataclasses
+import json
 import math
 import struct
 
@@ -18,13 +19,12 @@ from repro.obs.health import (
     HealthReport,
     HealthSnapshot,
     check_health_consistency,
-    read_health_log,
     render_health_table,
     render_prometheus,
-    write_health_log,
 )
 from repro.obs.recorder import MemoryRecorder
 from repro.obs.slo import SLOEngine, SLORule, SLOTransition
+from repro.obs.timeseries import TelemetryRow, read_jsonl, write_jsonl
 
 
 def make_snapshot(index=0, start=0.0, end=10.0, **overrides):
@@ -68,11 +68,56 @@ def bitwise_equal(a, b):
     return a == b
 
 
+def make_row(time, totals, pending=0, ncl_load=None, **memory):
+    return TelemetryRow(
+        time,
+        *totals,
+        live_items=0,
+        cached_copies=0,
+        pending_queries=pending,
+        ncl_load={} if ncl_load is None else ncl_load,
+        **memory,
+    )
+
+
 class TestHealthSnapshot:
     def test_dict_round_trip(self):
-        snap = make_snapshot(success_ratio=float("nan"), flash_crowd=True)
-        back = HealthSnapshot.from_dict(snap.to_dict())
+        snap = make_snapshot(
+            success_ratio=float("nan"),
+            flash_crowd=True,
+            rss_mb=70.5,
+            mem_top="nodes",
+            mem_subsystems={"nodes": 1024},
+        )
+        back = HealthSnapshot.from_dict(json.loads(json.dumps(snap.to_dict())))
         assert bitwise_equal(snap, back)
+
+    def test_from_dict_requires_every_field(self):
+        record = make_snapshot().to_dict()
+        del record["mem_top"]
+        with pytest.raises(KeyError):
+            HealthSnapshot.from_dict(record)
+
+    def test_window_is_the_difference_of_two_rows(self):
+        before = make_row(10.0, CollectorTotals(4, 1, 0, 0, 4, 1, 2, 1), pending=3)
+        after = make_row(
+            30.0,
+            CollectorTotals(14, 5, 1, 0, 12, 3, 2, 5),
+            pending=7,
+            ncl_load={1: 4, 2: 4},
+            rss_mb=12.0,
+            mem_top="nodes",
+        )
+        snap = HealthSnapshot.between(3, before, after, flash_window=(25.0, 40.0))
+        assert (snap.index, snap.start, snap.end) == (3, 10.0, 30.0)
+        assert snap.delta_totals() == CollectorTotals(10, 4, 1, 0, 8, 2, 0, 4)
+        assert (snap.backlog, snap.backlog_delta) == (7, 4)
+        assert snap.success_ratio == 0.4
+        assert snap.cache_hit_ratio == 0.25
+        assert snap.queries_per_sim_second == 0.5
+        assert snap.ncl_load_cv == 0.0
+        assert snap.flash_crowd is True
+        assert (snap.rss_mb, snap.mem_top) == (12.0, "nodes")
 
     def test_delta_totals_mirror_collector_order(self):
         snap = make_snapshot()
@@ -195,27 +240,21 @@ class TestHealthMonitorUnit:
         def __init__(self):
             self.totals_value = CollectorTotals(0, 0, 0, 0, 0, 0, 0, 0)
             self.open = 0
-            self.delay_p50 = float("nan")
-            self.delay_p95 = float("nan")
-            self.delay_p99 = float("nan")
 
         def totals(self):
             return self.totals_value
 
-        @property
-        def open_queries(self):
-            return self.open
-
-        def pending_queries(self, now):
-            return self.open
-
     class FakeSimulator:
+        warmup_end = 0.0
+
         def __init__(self):
             self.metrics = TestHealthMonitorUnit.FakeMetrics()
             self.workload_process = type("WP", (), {"arrivals": None})()
 
-        def ncl_load(self, now):
-            return {1: 4, 2: 4}
+        def telemetry_row(self, now):
+            return make_row(
+                now, self.metrics.totals(), self.metrics.open, {1: 4, 2: 4}
+            )
 
     def advance(self, sim, issued, satisfied):
         t = sim.metrics.totals_value
@@ -244,7 +283,7 @@ class TestHealthMonitorUnit:
         script = [(10, 8), (10, 9), (10, 8), (50, 5), (60, 4), (50, 5), (10, 8), (10, 9), (10, 8)]
         for i, (issued, satisfied) in enumerate(script):
             self.advance(sim, issued, satisfied)
-            monitor.observe_window(i, i * 10.0, (i + 1) * 10.0)
+            monitor.observe_window((i + 1) * 10.0)
         report = monitor.report()
         kinds = [(t.kind, t.time) for t in report.transitions]
         # violated after the 2nd surge window (sustain=2) at t=50, recovered
@@ -267,7 +306,7 @@ class TestHealthMonitorUnit:
             monitor.attach(sim)
             for i in range(6):
                 self.advance(sim, 5, 3)
-                monitor.observe_window(i, i * 10.0, (i + 1) * 10.0)
+                monitor.observe_window((i + 1) * 10.0)
             reports.append(monitor.report())
         assert bitwise_equal(reports[0], reports[1])
 
@@ -276,12 +315,12 @@ class TestHealthMonitorUnit:
         monitor = HealthMonitor()
         monitor.attach(sim)
         self.advance(sim, 4, 2)
-        snap = monitor.observe_window(0, 0.0, 10.0)
+        snap = monitor.observe_window(10.0)
         assert snap.ncl_load_cv == 0.0  # loads {1: 4, 2: 4} are balanced
 
     def test_observe_before_attach_rejected(self):
         with pytest.raises(RuntimeError):
-            HealthMonitor().observe_window(0, 0.0, 1.0)
+            HealthMonitor().observe_window(1.0)
 
     def test_anomaly_events_emitted_through_recorder(self):
         sim = self.FakeSimulator()
@@ -291,9 +330,9 @@ class TestHealthMonitorUnit:
         # quiet backlog_delta stream, then a massive spike
         for i in range(12):
             self.advance(sim, 5, 5)
-            monitor.observe_window(i, i * 10.0, (i + 1) * 10.0)
+            monitor.observe_window((i + 1) * 10.0)
         self.advance(sim, 500, 0)
-        monitor.observe_window(12, 120.0, 130.0)
+        monitor.observe_window(130.0)
         report = monitor.report()
         assert report.anomalies, "spike must trip a detector"
         assert any(a.signal == "backlog_delta" for a in report.anomalies)
@@ -320,14 +359,35 @@ class TestHealthLogAndRendering:
     def test_jsonl_round_trip_bitwise(self, tmp_path):
         report = self._report()
         path = tmp_path / "health.jsonl"
-        write_health_log(path, report)
-        assert bitwise_equal(read_health_log(path), report)
+        write_jsonl(report.to_records(), path)
+        assert bitwise_equal(HealthReport.from_records(read_jsonl(path)), report)
+
+    def test_log_is_strict_json_and_non_finite_values_read_back(self, tmp_path):
+        """NaN fields travel as null and a zero-variance EWMA score as
+        "Infinity" / "-Infinity": every line parses strictly, and both
+        read back as the values written."""
+        report = self._report()._replace(
+            anomalies=(
+                HealthAnomaly(20.0, "backlog_delta", "ewma", 9.0, math.inf),
+                HealthAnomaly(20.0, "cache_hit_ratio", "ewma", 0.0, -math.inf),
+            )
+        )
+        path = tmp_path / "health.jsonl"
+        write_jsonl(report.to_records(), path)
+
+        def refuse(constant):
+            raise ValueError(f"bare {constant} is not JSON")
+
+        for line in path.read_text().splitlines():
+            json.loads(line, parse_constant=refuse)
+        back = HealthReport.from_records(read_jsonl(path))
+        assert math.isnan(back.snapshots[1].success_ratio)
+        assert [a.score for a in back.anomalies] == [math.inf, -math.inf]
+        assert bitwise_equal(back, report)
 
     def test_log_records_are_time_ordered(self, tmp_path):
-        import json
-
         path = tmp_path / "health.jsonl"
-        write_health_log(path, self._report())
+        write_jsonl(self._report().to_records(), path)
         lines = [json.loads(l) for l in path.read_text().splitlines()]
         assert lines[0]["kind"] == "health.meta"
         times = [record["t"] for record in lines[1:] if "t" in record]
@@ -361,3 +421,11 @@ class TestHealthLogAndRendering:
         empty = HealthReport((), (), (), None)
         text = render_prometheus(empty)
         assert "repro_health_windows_total 0" in text
+        assert "repro_health_rss_bytes" not in text
+
+    def test_render_table_shows_rss_column_only_with_memory(self):
+        report = self._report()
+        assert "rss_mb" not in render_health_table(report)
+        last = dataclasses.replace(report.snapshots[-1], rss_mb=70.25)
+        text = render_health_table(report._replace(snapshots=(report.snapshots[0], last)))
+        assert "rss_mb" in text and "70.2" in text

@@ -3,8 +3,8 @@
 Two layers of guarantees live here:
 
 * unit behaviour — ``peak_rss_bytes`` units, ``deep_sizeof`` walk
-  semantics, sample round-trips (NaN ↔ JSON null), monitor registry
-  rules, the consistency invariant;
+  semantics, memory-column round-trips (NaN ↔ JSON null), monitor
+  registry rules, the consistency invariant;
 * accountant honesty — every subsystem accountant registered by
   :meth:`Simulator._build_memory_accountants` is cross-checked against
   an *independent* sizeof oracle (``oracle_nbytes_<name>``, a
@@ -31,22 +31,20 @@ import pytest
 from repro.errors import ConfigurationError, TraceConsistencyError
 from repro.graph.weight_cache import shared_weight_cache
 from repro.obs.events import TraceEventKind
+from repro.metrics.collector import CollectorTotals
+from repro.obs.health import HealthReport, HealthSnapshot, render_prometheus
 from repro.obs.memory import (
     NULL_MEMORY_MONITOR,
     SUBSYSTEMS,
     MemoryMonitor,
-    MemorySample,
     NullMemoryMonitor,
     check_memory_consistency,
     deep_sizeof,
     peak_rss_bytes,
-    read_memory_log,
     render_memory_breakdown,
-    render_memory_gauges,
-    render_memory_table,
-    write_memory_log,
 )
 from repro.obs.recorder import MemoryRecorder
+from repro.obs.timeseries import MEMORY_TABLE, TelemetryRow, render_rows
 from repro.scenario import (
     RunSpec,
     ScenarioSpec,
@@ -65,6 +63,17 @@ def _small_spec(mem_profile=True, **run_overrides):
     )
 
 
+def _window(**memory):
+    """A health window carrying *memory* columns."""
+    return HealthSnapshot(
+        0, 0.0, 10.0, *CollectorTotals(0, 0, 0, 0, 0, 0, 0, 0),
+        backlog=0, backlog_delta=0, success_ratio=math.nan,
+        cache_hit_ratio=math.nan, queries_per_sim_second=0.0,
+        delay_p50=math.nan, delay_p95=math.nan, delay_p99=math.nan,
+        ncl_load_cv=math.nan, flash_crowd=False, **memory,
+    )
+
+
 def _build(spec, recorder=None):
     trace = build_trace(spec.trace)
     return Simulator(
@@ -78,8 +87,8 @@ def _build(spec, recorder=None):
 
 @pytest.fixture(scope="module")
 def profiled_sim():
-    """One completed small run with memory profiling on."""
-    sim = _build(_small_spec())
+    """One completed small run keeping rows with memory columns."""
+    sim = _build(_small_spec(timeseries=True))
     sim.run()
     return sim
 
@@ -175,9 +184,7 @@ def oracle_nbytes_events(sim):
 
 
 def oracle_nbytes_observability(sim):
-    return _gc_sizeof(
-        [sim.recorder, sim.registry, sim.timeseries, sim.memory.samples]
-    )
+    return _gc_sizeof([sim.recorder, sim.registry, sim.timeseries])
 
 
 #: accountant/oracle agreement bounds.  The two walks fence different
@@ -287,7 +294,7 @@ def test_deep_sizeof_seen_preseed_excludes_owned_state():
 
 
 def test_deep_sizeof_fences_callables_and_modules():
-    holder = {"fn": deep_sizeof, "mod": json, "cls": MemorySample, "n": 1}
+    holder = {"fn": deep_sizeof, "mod": json, "cls": MemoryMonitor, "n": 1}
     # fenced entries contribute nothing, so the walk stays tiny
     assert deep_sizeof(holder) < 10_000
 
@@ -303,49 +310,38 @@ def test_deep_sizeof_walks_slots():
     assert deep_sizeof(obj) > sys.getsizeof(obj.payload)
 
 
-# --- MemorySample serialisation ---------------------------------------------
+# --- memory columns on disk -------------------------------------------------
 
 
 def test_memory_sample_round_trip_is_float_exact():
-    sample = MemorySample(
-        time=12.5,
+    """A window's memory columns survive health.jsonl bit for bit."""
+    window = _window(
         rss_mb=0.1 + 0.2,  # not exactly representable in decimal
         py_heap_mb=123.456789012345,
-        accounted_mb=7.0,
-        top_subsystem="nodes",
-        subsystems={"nodes": 1024, "events": 12},
+        mem_accounted_mb=7.0,
+        mem_top="nodes",
+        mem_subsystems={"nodes": 1024, "events": 12},
     )
-    back = MemorySample.from_dict(json.loads(json.dumps(sample.to_dict())))
-    assert back == sample  # dataclass equality: bitwise on floats here
+    back = HealthSnapshot.from_dict(json.loads(json.dumps(window.to_dict())))
+    assert back.rss_mb == window.rss_mb
+    assert back.py_heap_mb == window.py_heap_mb
+    assert back.mem_accounted_mb == 7.0
+    assert (back.mem_top, back.mem_subsystems) == ("nodes", {"nodes": 1024, "events": 12})
 
 
 def test_memory_sample_nan_round_trips_as_json_null():
-    sample = MemorySample(
-        time=1.0,
-        rss_mb=float("nan"),
-        py_heap_mb=float("nan"),
-        accounted_mb=2.0,
+    row = TelemetryRow(
+        1.0, *CollectorTotals(0, 0, 0, 0, 0, 0, 0, 0),
+        live_items=0, cached_copies=0, pending_queries=0,
+        rss_mb=float("nan"), py_heap_mb=float("nan"), mem_accounted_mb=2.0,
     )
-    text = json.dumps(sample.to_dict())
-    assert "NaN" not in text  # bare NaN is not valid JSON
+    text = json.dumps(row.to_dict(), allow_nan=False)  # bare NaN is not JSON
     assert "null" in text
-    back = MemorySample.from_dict(json.loads(text))
-    assert math.isnan(back.rss_mb) and math.isnan(back.py_heap_mb)
-    assert back.accounted_mb == 2.0
-
-
-def test_memory_log_round_trip(tmp_path):
-    samples = [
-        MemorySample(1.0, 100.5, 42.25, 40.0, "nodes", {"nodes": 41943040}),
-        MemorySample(2.0, 101.5, float("nan"), 41.0, "events", {"events": 64}),
-    ]
-    path = tmp_path / "memory.jsonl"
-    write_memory_log(path, samples)
-    lines = path.read_text().splitlines()
-    assert json.loads(lines[0]) == {"kind": "memory.meta", "samples": 2}
-    back = read_memory_log(path)
-    assert back[0] == samples[0]
-    assert back[1].time == 2.0 and math.isnan(back[1].py_heap_mb)
+    assert json.loads(text)["mem_accounted_mb"] == 2.0
+    back = HealthSnapshot.from_dict(
+        json.loads(json.dumps(_window(py_heap_mb=float("nan")).to_dict()))
+    )
+    assert math.isnan(back.py_heap_mb) and math.isnan(back.rss_mb)
 
 
 # --- MemoryMonitor registry --------------------------------------------------
@@ -366,26 +362,31 @@ def test_monitor_breakdown_and_sample():
     monitor = MemoryMonitor({"nodes": lambda: 3 * 2**20, "events": lambda: 2**20})
     assert monitor.subsystems == ("events", "nodes")
     assert monitor.breakdown() == {"events": 2**20, "nodes": 3 * 2**20}
-    sample = monitor.sample(5.0)
-    assert sample.time == 5.0
-    assert sample.top_subsystem == "nodes"
-    assert sample.accounted_mb == pytest.approx(4.0)
-    assert sample.rss_mb > 0
-    assert monitor.samples == [sample]
+    columns = monitor.columns()
+    assert columns["mem_top"] == "nodes"
+    assert columns["mem_accounted_mb"] == pytest.approx(4.0)
+    assert columns["mem_subsystems"] == {"events": 2**20, "nodes": 3 * 2**20}
+    assert columns["rss_mb"] > 0
+    # the keys are exactly the row's memory columns
+    row = TelemetryRow(
+        1.0, *CollectorTotals(0, 0, 0, 0, 0, 0, 0, 0),
+        live_items=0, cached_copies=0, pending_queries=0, **columns,
+    )
+    assert row.mem_top == "nodes"
 
 
 def test_monitor_duty_cycles_the_breakdown_walk():
-    """Samples inside the duty-cycle window reuse the last breakdown
+    """Fills inside the duty-cycle window reuse the last breakdown
     (bounded overhead); after the window a fresh walk runs."""
     calls = []
     monitor = MemoryMonitor({"nodes": lambda: calls.append(1) or 2**20})
-    first = monitor.sample(1.0)
-    second = monitor.sample(2.0)  # within cost/budget of the first walk
+    first = monitor.columns()
+    second = monitor.columns()  # within cost/budget of the first walk
     assert len(calls) == 1
-    assert second.subsystems == first.subsystems
-    assert second.time == 2.0  # cheap fields still stamped per sample
+    assert second["mem_subsystems"] == first["mem_subsystems"]
+    assert second["rss_mb"] > 0  # cheap columns still read per fill
     monitor._next_breakdown_wall = 0.0  # force the window shut
-    monitor.sample(3.0)
+    monitor.columns()
     assert len(calls) == 2
 
 
@@ -397,11 +398,19 @@ def test_monitor_validates_breakdown_budget():
 def test_null_monitor_is_inert():
     assert NULL_MEMORY_MONITOR.enabled is False
     assert isinstance(NULL_MEMORY_MONITOR, NullMemoryMonitor)
-    NULL_MEMORY_MONITOR.register("nodes", lambda: 1)  # tolerated, stateless
     assert NULL_MEMORY_MONITOR.subsystems == ()
-    sample = NULL_MEMORY_MONITOR.sample(1.0)
-    assert math.isnan(sample.rss_mb) and math.isnan(sample.accounted_mb)
-    assert NULL_MEMORY_MONITOR.samples == []
+    assert NULL_MEMORY_MONITOR.breakdown() == {}
+
+
+def test_null_monitor_refuses_work():
+    """Work that reaches the shared disabled monitor is a missing guard:
+    it raises rather than returning made-up columns, and the singleton
+    stays stateless."""
+    with pytest.raises(ConfigurationError, match="enabled"):
+        NULL_MEMORY_MONITOR.columns()
+    with pytest.raises(ConfigurationError, match="off"):
+        NULL_MEMORY_MONITOR.register("nodes", lambda: 1)
+    assert NULL_MEMORY_MONITOR.subsystems == ()
 
 
 # --- consistency invariant ---------------------------------------------------
@@ -437,14 +446,15 @@ def test_consistency_validates_tolerances():
 
 
 def test_render_memory_table_limits_and_formats():
-    samples = [
-        MemorySample(float(i), 100.0 + i, float("nan"), 50.0, "nodes", {})
+    records = [
+        {"time": float(i), "rss_mb": 100.0 + i, "py_heap_mb": None,
+         "mem_accounted_mb": 50.0, "mem_top": "nodes"}
         for i in range(5)
     ]
-    text = render_memory_table(samples, limit=2)
-    assert "2 memory sample(s)" in text
-    assert "rss_mb" in text and "nodes" in text
-    assert text.count("\n") == 3  # header + 2 rows + footer
+    lines = render_rows(records, (("time", "time", 12, 1),) + MEMORY_TABLE, limit=2)
+    assert len(lines) == 4  # header + rule + 2 rows
+    assert "rss_mb" in lines[0] and "mem_top" in lines[0]
+    assert lines[-1].split() == ["4.0", "104.0", "-", "50.0", "nodes"]
 
 
 def test_render_memory_breakdown_orders_largest_first():
@@ -454,11 +464,20 @@ def test_render_memory_breakdown_orders_largest_first():
 
 
 def test_render_memory_gauges_exports_prometheus_text():
-    sample = MemorySample(1.0, 100.0, 40.0, 39.0, "nodes", {"nodes": 1024})
-    text = render_memory_gauges(sample)
+    """The Prometheus exposition reads the memory gauges from the last
+    window's end-row columns."""
+    last = _window(
+        rss_mb=100.0, py_heap_mb=40.0, mem_accounted_mb=39.0,
+        mem_top="nodes", mem_subsystems={"nodes": 1024, "events": 64},
+    )
+    text = render_prometheus(HealthReport((_window(), last), (), (), None))
     assert f"repro_health_rss_bytes {100 * 2**20}" in text
+    assert f"repro_memory_accounted_bytes {39 * 2**20}" in text
     assert 'repro_memory_subsystem_bytes{subsystem="nodes"} 1024' in text
+    assert 'repro_memory_subsystem_bytes{subsystem="events"} 64' in text
     assert text.endswith("\n")
+    unprofiled = render_prometheus(HealthReport((_window(),), (), (), None))
+    assert "repro_health_rss_bytes" not in unprofiled
 
 
 # --- simulator integration ---------------------------------------------------
@@ -466,11 +485,12 @@ def test_render_memory_gauges_exports_prometheus_text():
 
 def test_disabled_path_allocates_nothing():
     """Without ``mem_profile`` the simulator holds the shared null
-    monitor — zero per-run allocation, zero samples."""
+    monitor — zero per-run allocation; without ``timeseries`` it keeps
+    no rows."""
     sim = _build(_small_spec(mem_profile=False))
     assert sim.memory is NULL_MEMORY_MONITOR
     sim.run()
-    assert sim.memory.samples == []
+    assert len(sim.timeseries) == 0
     # the always-built accountants still answer on demand
     assert set(sim.memory_breakdown()) == set(SUBSYSTEMS)
 
@@ -478,44 +498,47 @@ def test_disabled_path_allocates_nothing():
 def test_disabled_path_timeseries_has_nan_memory_columns():
     sim = _build(_small_spec(mem_profile=False, timeseries=True))
     sim.run()
-    rows = sim.timeseries.samples
+    rows = sim.timeseries.rows
     assert rows
     assert all(math.isnan(row.rss_mb) for row in rows)
-    assert all(row.mem_top == "" for row in rows)
+    assert all(row.mem_top == "" and row.mem_subsystems == {} for row in rows)
 
 
 def test_profiled_run_collects_samples(profiled_sim):
-    samples = profiled_sim.memory.samples
-    assert samples
-    times = [s.time for s in samples]
+    rows = profiled_sim.timeseries.rows
+    assert rows
+    times = [row.time for row in rows]
     assert times == sorted(times)
-    for sample in samples:
-        assert sample.rss_mb > 0
-        assert sample.accounted_mb > 0
-        assert sample.top_subsystem in SUBSYSTEMS
-        assert set(sample.subsystems) == set(SUBSYSTEMS)
+    for row in rows:
+        assert row.rss_mb > 0
+        assert row.mem_accounted_mb > 0
+        assert row.mem_top in SUBSYSTEMS
+        assert set(row.mem_subsystems) == set(SUBSYSTEMS)
 
 
 def test_profiled_run_emits_memory_sampled_events():
     recorder = MemoryRecorder()
-    sim = _build(_small_spec(), recorder=recorder)
+    sim = _build(_small_spec(timeseries=True), recorder=recorder)
     sim.run()
     sampled = [
         e for e in recorder.events if e.kind is TraceEventKind.MEMORY_SAMPLED
     ]
-    assert len(sampled) == len(sim.memory.samples)
+    assert len(sampled) == len(sim.timeseries.rows)
     assert sampled[0].attrs["top_subsystem"] in SUBSYSTEMS
+    assert [e.attrs["rss_mb"] for e in sampled] == [
+        row.rss_mb for row in sim.timeseries.rows
+    ]
 
 
 def test_breakdown_is_stable_under_churn(profiled_sim):
     """Repeated breakdowns attribute the same universe (no leaked or
-    dropped keys) and each sample's total equals its subsystem sum."""
+    dropped keys) and each row's total equals its subsystem sum."""
     first = profiled_sim.memory_breakdown()
     second = profiled_sim.memory_breakdown()
     assert sorted(first) == sorted(SUBSYSTEMS) == sorted(second)
-    for sample in profiled_sim.memory.samples:
-        assert sample.accounted_mb * 2**20 == pytest.approx(
-            sum(sample.subsystems.values()), abs=1.0
+    for row in profiled_sim.timeseries.rows:
+        assert row.mem_accounted_mb * 2**20 == pytest.approx(
+            sum(row.mem_subsystems.values()), abs=1.0
         )
 
 

@@ -14,6 +14,7 @@ from repro.core.data import Query
 from repro.metrics.collector import CollectorTotals, MetricsCollector
 from repro.obs.health import HealthMonitor, check_health_consistency
 from repro.obs.slo import SLORule
+from repro.obs.timeseries import TelemetryRow
 
 # One collector event: (kind, payload) applied in stream order.
 _EVENTS = st.lists(
@@ -99,27 +100,22 @@ def test_monitor_snapshots_delta_consistent_for_any_schedule(windows):
         def __init__(self):
             self.totals_value = CollectorTotals(0, 0, 0, 0, 0, 0, 0, 0)
             self.open = 0
-            self.delay_p50 = float("nan")
-            self.delay_p95 = float("nan")
-            self.delay_p99 = float("nan")
-
-        def totals(self):
-            return self.totals_value
-
-        @property
-        def open_queries(self):
-            return self.open
-
-        def pending_queries(self, now):
-            return self.open
 
     class FakeSimulator:
+        warmup_end = 0.0
+
         def __init__(self):
             self.metrics = FakeMetrics()
             self.workload_process = type("WP", (), {"arrivals": None})()
 
-        def ncl_load(self, now):
-            return {}
+        def telemetry_row(self, now):
+            return TelemetryRow(
+                now,
+                *self.metrics.totals_value,
+                live_items=0,
+                cached_copies=0,
+                pending_queries=self.metrics.open,
+            )
 
     sim = FakeSimulator()
     monitor = HealthMonitor([SLORule("r", "backlog", "<=", 1e9)])
@@ -138,9 +134,8 @@ def test_monitor_snapshots_delta_consistent_for_any_schedule(windows):
             t.responses_delivered + satisfied,
         )
         sim.metrics.open += issued - satisfied
-        monitor.observe_window(i, i * 10.0, (i + 1) * 10.0)
+        monitor.observe_window((i + 1) * 10.0)
     report = monitor.report()
-    check_health_consistency(report, sim.metrics.totals(), baseline=monitor.baseline)
-    assert sum(s.queries_issued for s in report.snapshots) == (
-        sim.metrics.totals().queries_issued
-    )
+    totals = sim.metrics.totals_value
+    check_health_consistency(report, totals, baseline=monitor.baseline)
+    assert sum(s.queries_issued for s in report.snapshots) == totals.queries_issued

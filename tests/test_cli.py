@@ -315,3 +315,106 @@ class TestRunDirectoryAndReport:
             for line in open(run_dir / "timeseries.jsonl").read().splitlines()
         ]
         assert {row["seed"] for row in rows} == set(manifest["seeds"])
+
+
+class TestMemProfileCli:
+    """``--mem-profile`` through the CLI: the memory telemetry a run
+    writes must reach ``repro report``, ``repro watch`` and the
+    Prometheus exposition."""
+
+    MIT_SMALL = ["--trace", "mit_reality", "--node-factor", "0.3",
+                 "--time-factor", "0.15"]
+
+    def test_simulate_mem_profile_report_and_watch(self, capsys, tmp_path):
+        run_dir = tmp_path / "mem"
+        assert main(
+            ["simulate", *self.MIT_SMALL, "--mem-profile", "--out", str(run_dir)]
+        ) == 0
+        capsys.readouterr()
+        assert main(["report", str(run_dir)]) == 0
+        report = capsys.readouterr().out
+        assert "## Time series" in report
+        assert "## Memory" in report
+        assert main(["watch", str(run_dir)]) == 0
+        assert "rss_mb" in capsys.readouterr().out
+
+    def test_serve_mem_profile_prom_and_watch(self, capsys, tmp_path):
+        import re
+
+        from repro.obs.memory import SUBSYSTEMS
+
+        run_dir = tmp_path / "memserve"
+        prom = tmp_path / "health.prom"
+        assert main(
+            [
+                "serve", *self.MIT_SMALL, "-k", "5", "--arrival", "bursty",
+                "--batches", "6", "--mem-profile", "--slo", "availability",
+                "--out", str(run_dir), "--prom-out", str(prom),
+            ]
+        ) == 0
+        capsys.readouterr()
+        exposition = prom.read_text()
+        assert re.search(r"^repro_health_rss_bytes \d+$", exposition, re.M)
+        for name in SUBSYSTEMS:
+            gauge = f'repro_memory_subsystem_bytes{{subsystem="{name}"}} '
+            lines = [l for l in exposition.splitlines() if l.startswith(gauge)]
+            assert len(lines) == 1, name
+        assert main(["watch", str(run_dir)]) == 0
+        assert "rss_mb" in capsys.readouterr().out
+
+
+def _strict_records(path):
+    """Every line of a JSONL file, parsed as strict JSON (a bare
+    ``NaN``/``Infinity`` token raises)."""
+    import json
+
+    def refuse(constant):
+        raise ValueError(f"{path.name}: bare {constant} is not JSON")
+
+    return [json.loads(line, parse_constant=refuse) for line in open(path)]
+
+
+class TestTelemetryFiles:
+    """What ``serve --out`` and ``simulate --out`` write: strict JSON,
+    one memory row per sample instant."""
+
+    SERVE = ["serve", "--trace", "infocom05", *FAST_TRACE, "--scheme", "nocache",
+             "--lifetime-hours", "4"]
+
+    def test_health_and_timeseries_logs_parse_strictly(self, capsys, tmp_path):
+        serve_dir, sim_dir = tmp_path / "serve", tmp_path / "sim"
+        assert main([*self.SERVE, "--batches", "3", "--out", str(serve_dir)]) == 0
+        assert main(
+            ["simulate", "--trace", "infocom05", *FAST_TRACE, "--scheme",
+             "nocache", "--lifetime-hours", "4", "--out", str(sim_dir)]
+        ) == 0
+        capsys.readouterr()
+        health = _strict_records(serve_dir / "health.jsonl")
+        rows = _strict_records(sim_dir / "timeseries.jsonl")
+        assert len(health) > 1 and rows
+        # unprofiled memory columns are null, not NaN
+        assert all(r["rss_mb"] is None for r in health if r["kind"] == "health.snapshot")
+        assert all(r["rss_mb"] is None for r in rows)
+
+    def test_mem_profiled_serve_writes_one_memory_row_per_instant(
+        self, capsys, tmp_path
+    ):
+        import json
+        import math
+
+        run_dir = tmp_path / "serve"
+        batches = 4
+        assert main(
+            [*self.SERVE, "--batches", str(batches), "--mem-profile",
+             "--out", str(run_dir)]
+        ) == 0
+        capsys.readouterr()
+        instants = []
+        for path in sorted(run_dir.glob("*.jsonl")):
+            for line in open(path):
+                record = json.loads(line)
+                rss = record.get("rss_mb")
+                if rss is not None and not math.isnan(rss):
+                    instants.append(record.get("time", record.get("end")))
+        assert len(instants) == batches
+        assert all(a < b for a, b in zip(instants, instants[1:]))
