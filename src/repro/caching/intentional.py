@@ -541,10 +541,12 @@ class IntentionalCaching(CachingScheme):
                 y.store_bundle(replica)
                 self._receive_query(y, bundle.query, now)
             else:
+                if y.has_seen(bundle.key):
+                    continue
                 decision = self._query_router.decide(
                     x.node_id, y.node_id, target, self.graph, bundle.query.remaining(now)
                 )
-                if not decision.transfers or y.has_seen(bundle.key):
+                if not decision.transfers:
                     continue
                 if not budget.try_consume(bundle.size_bits):
                     continue

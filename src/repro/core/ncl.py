@@ -29,7 +29,7 @@ from repro.graph.contact_graph import ContactGraph
 from repro.graph.paths import PathMode, _reference_shortest_path_weights_from
 from repro.graph.sparse import _reference_knn_weight_rows
 from repro.graph.weight_cache import shared_weight_cache
-from repro.mathutils.hypoexponential import hypoexponential_cdf_batch, pad_rate_rows
+from repro.mathutils.hypoexponential import hypoexponential_cdf_batch
 
 __all__ = [
     "DEFAULT_KNN_K",
@@ -338,30 +338,30 @@ def calibrate_time_budget(
         rng = np.random.default_rng(seed)
         sources = sorted(rng.choice(sources, size=sample_sources, replace=False))
 
-    # Precompute hop-rate tuples once (paths don't depend on T in
+    # Precompute the hop-rate rows once (paths don't depend on T in
     # expected-delay mode; in max-probability mode this is a fixed-point
-    # approximation anchored at a mid-range budget).  The tuples come from
-    # the shared weight cache, and every bisection probe evaluates all of
-    # them in a single batched Eq. (2) call.
+    # approximation anchored at a mid-range budget).  The rows come from
+    # the shared weight cache, left-aligned at the widest sampled
+    # source, each source's reachable nodes in settle order, and every
+    # bisection probe evaluates all of them in a single batched Eq. (2)
+    # call.
     anchor = 1.0
     positive = [rate for _, _, rate in graph.edges()]
     if positive:
         anchor = 1.0 / float(np.median(positive))
     cache = shared_weight_cache()
-    all_rates = []
-    segments = []  # parallel to all_rates: index into *sources*
-    for index, source in enumerate(sources):
-        tuples = cache.rate_tuples(graph, source, max(anchor, 1.0), mode)
-        for node, rates in tuples.items():
-            if node != source:
-                all_rates.append(rates)
-                segments.append(index)
-    padded = pad_rate_rows(all_rates)
-    segments = np.asarray(segments, dtype=int)
+    blocks = [cache.rate_tuples(graph, s, max(anchor, 1.0), mode) for s in sources]
+    counts = [len(rows.order) for rows in blocks]
+    padded = np.zeros((sum(counts), max(rows.rates.shape[1] for rows in blocks)))
+    segments = np.repeat(np.arange(len(sources)), counts)  # index into *sources*
+    start = 0
+    for rows, count in zip(blocks, counts):
+        padded[start : start + count, : rows.rates.shape[1]] = rows.rates[rows.order]
+        start += count
 
     def median_metric(budget: float) -> float:
         totals = np.zeros(len(sources))
-        if len(all_rates):
+        if len(padded):
             probabilities = hypoexponential_cdf_batch(padded, budget)
             np.add.at(totals, segments, probabilities)
         return float(np.median(totals / (graph.num_nodes - 1)))

@@ -176,12 +176,13 @@ class PathAwareResponse:
         if self._graph is None:
             return self._floor
         # Expected-delay paths don't depend on the budget, so the hop-rate
-        # tuples come from the shared content-keyed cache and only the
+        # rows come from the shared content-keyed cache and only the
         # Eq. (2) evaluation runs per decision.
-        tuples = shared_weight_cache().rate_tuples(
-            self._graph, caching_node, remaining, self._mode
+        rates = (
+            shared_weight_cache()
+            .rate_tuples(self._graph, caching_node, remaining, self._mode)
+            .path_rates(query.requester)
         )
-        rates = tuples.get(query.requester)
         if rates is None:
             return self._floor
         return max(self._floor, path_delivery_probability(rates, remaining))

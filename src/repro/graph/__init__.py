@@ -24,11 +24,7 @@ from repro.graph.paths import (
     shortest_path_weights_from,
     shortest_paths_from,
 )
-from repro.graph.weight_cache import (
-    PathWeightCache,
-    cached_path_weights,
-    shared_weight_cache,
-)
+from repro.graph.weight_cache import PathWeightCache, shared_weight_cache
 
 __all__ = [
     "ContactGraph",
@@ -36,7 +32,6 @@ __all__ = [
     "OpportunisticPath",
     "PathMode",
     "PathWeightCache",
-    "cached_path_weights",
     "hop_rate_tuples_from",
     "shared_weight_cache",
     "shortest_path",

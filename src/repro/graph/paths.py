@@ -25,7 +25,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.sparse import csr_matrix as _scipy_csr_matrix
@@ -47,12 +47,13 @@ __all__ = [
     "shortest_path_weights_from",
     "shortest_path_weight_rows",
     "shortest_path_weight_matrix",
+    "HopRows",
     "hop_rate_tuples_from",
 ]
 
 #: Most destination rows one batched weight sweep evaluates at once.  A
-#: sweep's transient memory — the padded Eq. (2) batch and the Python
-#: hop-rate tuples behind it — grows with sources × nodes, so on large
+#: sweep's transient memory — the padded Eq. (2) batch and the hop-slot
+#: walk behind it — grows with sources × nodes, so on large
 #: graphs the sources are split into chunks of at most this many rows
 #: (at least one source each).  Rows do not depend on the chunking.
 #: Trace-scale graphs (tens to hundreds of nodes) fit all K central
@@ -146,12 +147,12 @@ def _dijkstra_max_probability(
     prev: Dict[int, int] = {}
     # Max-heap via negated probability; tie-break on node id for determinism.
     heap: List[Tuple[float, int]] = [(-1.0, source)]
-    settled: set = set()
+    settled: Dict[int, None] = {}  # in settle order
     while heap:
         neg_prob, node = heapq.heappop(heap)
         if node in settled:
             continue
-        settled.add(node)
+        settled[node] = None
         rates_here = best_rates[node]
         for neighbor in graph.neighbors(node):
             if neighbor in settled:
@@ -170,7 +171,7 @@ def _paths_from_predecessors(
     graph: ContactGraph,
     source: int,
     prev: Dict[int, int],
-    reachable: set,
+    reachable: Iterable[int],
 ) -> Dict[int, OpportunisticPath]:
     paths: Dict[int, OpportunisticPath] = {}
     for node in reachable:
@@ -221,9 +222,10 @@ def shortest_path(
 #
 # The expected-delay objective is an ordinary additive shortest path on
 # the 1/λ cost matrix, so the whole sweep — including the all-pairs case
-# the NCL metric needs — runs through scipy's C Dijkstra.  Hop-rate
-# tuples are recovered from the predecessor matrix and scored in one
-# batched Eq. (2) evaluation.  The pure-Python implementations above are
+# the NCL metric needs — runs through scipy's C Dijkstra.  One walk of
+# the predecessor rows (:func:`_hop_walk`) recovers every requested
+# path's hop rates at once, and the rows are scored in one batched
+# Eq. (2) evaluation.  The pure-Python implementations above are
 # retained as ``_reference_*`` oracles (property-tested to 1e-9).
 
 
@@ -255,31 +257,69 @@ def _expected_delay_dijkstra(
     return np.atleast_2d(dist), np.atleast_2d(predecessors)
 
 
-def _rate_tuples_from_predecessors(
-    graph: ContactGraph,
-    source: int,
-    dist_row: np.ndarray,
-    pred_row: np.ndarray,
-) -> Dict[int, Tuple[float, ...]]:
-    """Rebuild hop-rate tuples for one source from a predecessor row.
+def _hop_walk(
+    graph: ContactGraph, pred: np.ndarray, rows: np.ndarray, nodes: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Hop rates of the tree paths to ``nodes[i]`` in the predecessor rows
+    ``pred[rows[i]]`` of one :func:`_expected_delay_dijkstra` call.
 
-    Nodes are processed in increasing-distance order so every node's
-    predecessor tuple already exists (hop costs are strictly positive,
-    hence dist[pred] < dist[node]).  Rates are read edge by edge through
-    :meth:`ContactGraph.rate`, which works in both storage modes without
-    materialising the matrix.
+    All pairs walk back toward their sources together, one hop slot per
+    step, until each reaches its source (scipy's negative predecessor).
+    Each step reads the rates of the edges it crosses from
+    :meth:`ContactGraph.csr_rates`, found by one ``searchsorted`` over
+    the CSR keys ``row·N + column``, so both storage modes share the
+    walk and nothing N×N is allocated.  Returns ``(back, hops)``:
+    ``back[i, c]`` is the rate of the c-th hop counted back from
+    ``nodes[i]`` (zero past its source) and ``hops[i]`` is the pair's
+    hop count.  Every requested node must be reachable.
     """
-    tuples: Dict[int, Tuple[float, ...]] = {source: ()}
-    reachable = np.isfinite(dist_row)
-    order = np.argsort(dist_row[reachable], kind="stable")
-    nodes = np.nonzero(reachable)[0][order]
-    for node in nodes:
-        node = int(node)
-        if node == source:
-            continue
-        pred = int(pred_row[node])
-        tuples[node] = tuples[pred] + (graph.rate(pred, node),)
-    return tuples
+    indptr, indices, data = graph.csr_rates()
+    n = graph.num_nodes
+    keys = np.repeat(np.arange(n, dtype=np.int64) * n, np.diff(indptr)) + indices
+    cur = np.array(nodes, dtype=np.int64)
+    prev = pred[rows, cur].astype(np.int64)
+    hops = np.zeros(len(cur), dtype=np.int64)
+    live = np.flatnonzero(prev >= 0)
+    columns: List[np.ndarray] = []
+    while len(live):
+        column = np.zeros(len(cur))
+        column[live] = data[np.searchsorted(keys, prev[live] * n + cur[live])]
+        columns.append(column)
+        hops[live] += 1
+        cur[live] = prev[live]
+        prev[live] = pred[rows[live], cur[live]]
+        live = live[prev[live] >= 0]
+    back = np.column_stack(columns) if columns else np.zeros((len(cur), 1))
+    return back, hops
+
+
+def _left_aligned(back: np.ndarray, hops: np.ndarray) -> np.ndarray:
+    """A walk's hop slots in hop order from the source, zero-padded on
+    the right (``_left_aligned(back, hops)[i, :hops[i]]`` is pair i's
+    path)."""
+    slot = hops[:, None] - 1 - np.arange(back.shape[1])
+    return np.where(slot >= 0, np.take_along_axis(back, np.maximum(slot, 0), 1), 0.0)
+
+
+class HopRows(NamedTuple):
+    """Hop rates of the shortest opportunistic paths from one source.
+
+    ``rates[j, :hops[j]]`` are the rates of the path to node ``j`` in hop
+    order from the source, zero-padded on the right to the longest path;
+    ``hops[j]`` is 0 at the source and -1 where ``j`` is unreachable.
+    ``order`` lists the other reachable nodes in the order the search
+    settles them: ascending expected delay, ties by node id
+    (max-probability mode: non-increasing weight, ties by node id).
+    """
+
+    rates: np.ndarray
+    hops: np.ndarray
+    order: np.ndarray
+
+    def path_rates(self, node: int) -> Optional[np.ndarray]:
+        """The hop rates of the path to *node*, or ``None`` if unreachable."""
+        hops = int(self.hops[node])
+        return None if hops < 0 else self.rates[node, :hops]
 
 
 def hop_rate_tuples_from(
@@ -287,13 +327,14 @@ def hop_rate_tuples_from(
     source: int,
     time_budget: float,
     mode: PathMode = PathMode.EXPECTED_DELAY,
-) -> Dict[int, Tuple[float, ...]]:
-    """Hop-rate tuples of the shortest opportunistic paths from *source*.
+) -> HopRows:
+    """Hop rates of the shortest opportunistic paths from *source*.
 
     The cheap sibling of :func:`shortest_paths_from` when only the rate
     sequences are needed (path weights, calibration probes): in
-    expected-delay mode it runs through the vectorized scipy Dijkstra
-    without materialising :class:`OpportunisticPath` objects.
+    expected-delay mode one scipy Dijkstra and one :func:`_hop_walk`
+    build every row without materialising :class:`OpportunisticPath`
+    objects.  Max-probability paths come from the pure-Python search.
     """
     if not 0 <= source < graph.num_nodes:
         raise PathError(f"source {source} outside graph of {graph.num_nodes} nodes")
@@ -308,12 +349,25 @@ def _hop_rate_tuples_from(
     source: int,
     time_budget: float,
     mode: PathMode,
-) -> Dict[int, Tuple[float, ...]]:
+) -> HopRows:
+    hops = np.full(graph.num_nodes, -1, dtype=np.int64)
     if mode is not PathMode.EXPECTED_DELAY:
         paths = shortest_paths_from(graph, source, time_budget, mode)
-        return {node: path.rates for node, path in paths.items()}
+        width = max(1, max(path.hop_count for path in paths.values()))
+        rates = np.zeros((graph.num_nodes, width))
+        for node, path in paths.items():
+            rates[node, : path.hop_count] = path.rates
+            hops[node] = path.hop_count
+        order = np.array([node for node in paths if node != source], dtype=np.int64)
+        return HopRows(rates, hops, order)
     dist, pred = _expected_delay_dijkstra(graph, sources=[source])
-    return _rate_tuples_from_predecessors(graph, source, dist[0], pred[0])
+    nodes = np.flatnonzero(np.isfinite(dist[0]))
+    back, path_hops = _hop_walk(graph, pred, np.zeros_like(nodes), nodes)
+    rates = np.zeros((graph.num_nodes, back.shape[1]))
+    rates[nodes] = _left_aligned(back, path_hops)
+    hops[nodes] = path_hops
+    order = nodes[np.argsort(dist[0, nodes], kind="stable")]
+    return HopRows(rates, hops, order[order != source])
 
 
 def shortest_path_weights_from(
@@ -342,10 +396,10 @@ def shortest_path_weight_rows(
 
     Row ``r`` is p_{sources[r], j}(T) for every node j, byte-identical
     to what a sweep from that source alone returns.  In expected-delay
-    mode the whole batch is one scipy Dijkstra over all sources plus one
-    batched Eq. (2) evaluation per distinct pad width (see
-    :func:`_expected_delay_weight_rows`), so K central-node vectors cost
-    one graph conversion instead of K.  Graphs too large for that are
+    mode the whole batch is one scipy Dijkstra over all sources, one
+    :func:`_hop_walk` and one batched Eq. (2) evaluation per distinct pad
+    width (see :func:`_expected_delay_weight_rows`), so K central-node
+    vectors cost one graph conversion instead of K.  Graphs too large for that are
     swept in chunks of sources (see :data:`_SWEEP_ROWS`).
     """
     sources = [int(source) for source in sources]
@@ -380,30 +434,27 @@ def _expected_delay_weight_rows(
 ) -> np.ndarray:
     """Expected-delay weight rows for *sources* (validated, non-empty).
 
-    Each source's hop-rate tuples are zero-padded to its own longest
-    path, as a single-source sweep pads them, and sources are grouped
-    by that width so each group is one :func:`hypoexponential_cdf_batch`
-    call.  The grouping is what keeps rows byte-identical across batch
+    One :func:`_hop_walk` over every reachable (source, node) pair; each
+    source's rows are left-aligned and padded to its own longest path,
+    as a single-source sweep pads them, and sources are grouped by that
+    width so each group is one :func:`hypoexponential_cdf_batch` call.
+    The grouping is what keeps rows byte-identical across batch
     compositions: every stage of the batch is row-independent, but
     numpy's pairwise row sum groups its terms by row width, so a row
     padded wider can differ in the last ulp.
     """
-    weights = np.zeros((len(sources), graph.num_nodes))
     dist, pred = _expected_delay_dijkstra(graph, sources)
-    # width -> [(row, destination nodes, their hop-rate tuples)]
-    groups: Dict[int, List[Tuple[int, List[int], List[Tuple[float, ...]]]]] = {}
-    for row, source in enumerate(sources):
-        tuples = _rate_tuples_from_predecessors(graph, source, dist[row], pred[row])
-        width = max(1, max(len(rates) for rates in tuples.values()))
-        groups.setdefault(width, []).append((row, list(tuples), list(tuples.values())))
-    for members in groups.values():
-        values = hypoexponential_cdf_batch(
-            [rates for _, _, rate_rows in members for rates in rate_rows], time_budget
+    rows, nodes = np.nonzero(np.isfinite(dist))
+    back, hops = _hop_walk(graph, pred, rows, nodes)
+    hop_rates = _left_aligned(back, hops)
+    widths = np.ones(len(sources), dtype=np.int64)
+    np.maximum.at(widths, rows, hops)
+    weights = np.zeros((len(sources), graph.num_nodes))
+    for width in np.unique(widths):
+        pick = np.flatnonzero(widths[rows] == width)
+        weights[rows[pick], nodes[pick]] = hypoexponential_cdf_batch(
+            hop_rates[pick, :width], time_budget
         )
-        start = 0
-        for row, nodes, _ in members:
-            weights[row, nodes] = values[start : start + len(nodes)]
-            start += len(nodes)
     return weights
 
 
@@ -415,8 +466,9 @@ def shortest_path_weight_matrix(
     """All-pairs path-weight matrix W with W[i, j] = p_{ij}(T).
 
     The NCL metric (Eq. 3) and selection consume rows of this matrix.
-    In expected-delay mode one all-sources scipy Dijkstra feeds a single
-    batched Eq. (2) evaluation across every (source, destination) pair.
+    In expected-delay mode one all-sources scipy Dijkstra and one
+    :func:`_hop_walk` feed a single batched Eq. (2) evaluation across
+    every (source, destination) pair of the upper triangle.
     """
     if time_budget <= 0:
         raise PathError("time budget must be positive")
@@ -435,7 +487,6 @@ def _shortest_path_weight_matrix(
             [shortest_path_weights_from(graph, s, time_budget, mode) for s in range(n)]
         )
     dist, pred = _expected_delay_dijkstra(graph)
-    rates = graph.rates
     # Rates are symmetric and Eq. (2) is invariant under hop reordering,
     # so p_ij = p_ji: only the upper triangle of reachable pairs is
     # evaluated.  The Dijkstra pass is scipy's C implementation — its
@@ -447,41 +498,15 @@ def _shortest_path_weight_matrix(
     weights = np.zeros((n, n))
     np.fill_diagonal(weights, 1.0)  # trivial zero-hop path to oneself
     if len(ii):
-        pair_weights = hypoexponential_cdf_batch(
-            _hop_slot_matrix(rates, pred, ii, jj), time_budget
-        )
+        # Each row reads source → destination with leading zero padding.
+        # Eq. (2) is order-invariant mathematically but *not* in float
+        # arithmetic, so rows keep the hop order the scalar oracle
+        # evaluates.
+        back, _ = _hop_walk(graph, pred, ii, jj)
+        pair_weights = hypoexponential_cdf_batch(back[:, ::-1], time_budget)
         weights[ii, jj] = pair_weights
         weights[jj, ii] = pair_weights
     return weights
-
-
-def _hop_slot_matrix(
-    rates: np.ndarray, pred: np.ndarray, ii: np.ndarray, jj: np.ndarray
-) -> np.ndarray:
-    """Padded per-pair hop-rate matrix from the predecessor matrix.
-
-    Hop rates are pulled out of the predecessor matrix one hop *slot* at
-    a time (walking destination → source) across all pairs
-    simultaneously, then the slot columns are reversed so each row reads
-    source → destination with leading zero padding.  Eq. (2) is
-    order-invariant mathematically but *not* in float arithmetic — near
-    the closed form's separation threshold its coefficients are large
-    and cancelling, and summation order moves the result at the 1e-8
-    level — so rows are kept in the same hop order the scalar oracle
-    evaluates.
-    """
-    columns: List[np.ndarray] = []
-    cur = jj.copy()
-    active = cur != ii
-    while active.any():
-        prev = np.where(active, pred[ii, cur], cur)
-        step = np.zeros(len(ii))
-        step[active] = rates[prev[active], cur[active]]
-        columns.append(step)
-        cur = prev
-        active = cur != ii
-    columns.reverse()
-    return np.column_stack(columns) if columns else np.zeros((len(ii), 1))
 
 
 def _reference_weight_matrix(

@@ -3,8 +3,10 @@
 Every consumer of the contact graph — NCL selection (Eq. 3), the
 push/pull gradient routers, response strategies, and time-budget
 calibration — reduces to the same two sweeps: a single-source path-weight
-vector at a time budget T, or the hop-rate tuples of the shortest
-opportunistic paths from a source.
+vector at a time budget T, or the hop-rate rows of the shortest
+opportunistic paths from a source (:class:`repro.graph.paths.HopRows`).
+Both come from one walk of the scipy Dijkstra predecessor rows
+(:func:`repro.graph.paths._hop_walk`), as does the all-pairs matrix.
 
 This module gives all of them one shared, bounded cache.  On dense
 graphs warm-up's all-pairs matrix is one entry, and a single-source
@@ -29,9 +31,9 @@ the runs of several schemes over one trace.  A graph never changes
 after it is built and its rate matrix is read-only, so an entry can
 never describe other rates than its key's; eviction is plain LRU.
 
-Cached weight vectors, matrices and k-NN row arrays are returned
-read-only (``ndarray.flags.writeable = False``); callers that need to
-mutate must copy.
+Cached weight vectors, matrices, k-NN row arrays and hop-rate rows are
+returned read-only (``ndarray.flags.writeable = False``); callers that
+need to mutate must copy.
 """
 
 from __future__ import annotations
@@ -39,12 +41,13 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from time import perf_counter
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, List, Optional, Sequence
 
 import numpy as np
 
 from repro.graph.contact_graph import ContactGraph
 from repro.graph.paths import (
+    HopRows,
     PathMode,
     hop_rate_tuples_from,
     shortest_path_weight_matrix,
@@ -53,16 +56,17 @@ from repro.graph.paths import (
 from repro.graph.sparse import KnnWeightRows, knn_weight_rows
 from repro.obs.profile import active_profiler, maybe_span
 
-__all__ = ["PathWeightCache", "shared_weight_cache", "cached_path_weights"]
+__all__ = ["PathWeightCache", "shared_weight_cache"]
 
 
 def _entry_bytes(value: object) -> int:
-    """Approximate heap footprint of a cached value (arrays only — the
-    rate-tuple dicts are small and counted as entries, not bytes)."""
+    """Heap footprint of a cached value's array payload."""
     if isinstance(value, np.ndarray):
         return int(value.nbytes)
     if isinstance(value, KnnWeightRows):
         return int(value.indptr.nbytes + value.indices.nbytes + value.weights.nbytes)
+    if isinstance(value, HopRows):
+        return sum(int(array.nbytes) for array in value)
     return 0
 
 
@@ -259,10 +263,10 @@ class PathWeightCache:
         source: int,
         time_budget: float,
         mode: PathMode = PathMode.EXPECTED_DELAY,
-    ) -> Dict[int, Tuple[float, ...]]:
-        """Cached hop-rate tuples of the shortest paths from *source*.
+    ) -> HopRows:
+        """Cached :func:`hop_rate_tuples_from` (read-only arrays).
 
-        In expected-delay mode the tuples are independent of the budget,
+        In expected-delay mode the rows are independent of the budget,
         so the key collapses it; calibration probes at many budgets then
         hit one entry.
         """
@@ -275,6 +279,8 @@ class PathWeightCache:
         if cached is None:
             with maybe_span(prof, "weight_cache.rate_tuples.miss"):
                 cached = hop_rate_tuples_from(graph, source, time_budget, mode)
+            for array in cached:
+                array.flags.writeable = False
             self._store(key, cached)
         elif prof.enabled:
             prof.add("weight_cache.rate_tuples.hit", perf_counter() - t0)
@@ -287,13 +293,3 @@ _SHARED = PathWeightCache()
 def shared_weight_cache() -> PathWeightCache:
     """The process-wide cache shared by routers, NCL selection and calibration."""
     return _SHARED
-
-
-def cached_path_weights(
-    graph: ContactGraph,
-    source: int,
-    time_budget: float,
-    mode: PathMode = PathMode.EXPECTED_DELAY,
-) -> np.ndarray:
-    """Convenience wrapper over ``shared_weight_cache().weights(...)``."""
-    return _SHARED.weights(graph, source, time_budget, mode)

@@ -12,7 +12,6 @@
 """
 
 from repro.mathutils.hypoexponential import (
-    Hypoexponential,
     hypoexponential_cdf,
     path_delivery_probability,
 )
@@ -22,7 +21,6 @@ from repro.mathutils.sigmoid import ResponseSigmoid
 from repro.mathutils.zipf import ZipfDistribution
 
 __all__ = [
-    "Hypoexponential",
     "hypoexponential_cdf",
     "path_delivery_probability",
     "RateEstimator",

@@ -17,35 +17,40 @@ data traverses the path within time T:
 The closed form requires pairwise-distinct rates and is numerically
 catastrophic when rates nearly coincide (the coefficients blow up with
 alternating signs).  Real contact traces produce many near-equal rates, so
-this module provides a robust evaluation strategy:
+every row, scalar or batch, is routed by one bound on what its
+partial-fraction sum can lose to rounding (:func:`_closed_form_trusted`):
 
-* distinct, well-separated rates → the closed form (fast path);
-* repeated or clustered rates → the matrix-exponential formulation.  A
-  hypoexponential is a phase-type distribution whose generator is the
-  bidiagonal matrix with −λₖ on the diagonal and λₖ on the superdiagonal;
-  ``CDF(t) = 1 − [exp(Q t) · 1]₀`` evaluated with :func:`scipy.linalg.expm`.
+* rows whose bound stays within :data:`_CLOSED_FORM_TOL` → the closed form;
+* every other row (exact repeats make a C_k infinite) → the
+  matrix-exponential formulation.  A hypoexponential is a phase-type
+  distribution whose generator is the bidiagonal matrix with −λₖ on the
+  diagonal and λₖ on the superdiagonal; ``CDF(t) = 1 − [exp(Q t) · 1]₀``
+  evaluated with :func:`scipy.linalg.expm`.
 
-Both agree to ~1e-10 on well-separated inputs (covered by property tests).
+So every row agrees with the matrix exponential to 1e-10 (property-tested).
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable, List, Sequence, Union
+from typing import Iterable, List, Sequence, Tuple, Union
 
 import numpy as np
 from scipy.linalg import expm
 
 __all__ = [
-    "Hypoexponential",
     "hypoexponential_cdf",
     "hypoexponential_cdf_batch",
     "pad_rate_rows",
     "path_delivery_probability",
 ]
 
-#: Minimum relative gap between two rates for the closed form to be trusted.
-_DISTINCT_RTOL = 1e-6
+#: Largest rounding error, absolute, that a row evaluated in closed form
+#: may carry; rows whose bound exceeds it take the matrix exponential.
+_CLOSED_FORM_TOL = 1e-10
+
+#: c(r)·ε per hop of the rounding bound (:func:`_closed_form_trusted`).
+_ROUNDING_PER_HOP = 4.0 * float(np.finfo(float).eps)
 
 #: Batch size from which duplicate (row, t) pairs are collapsed: one
 #: lexsort of the batch plus an adjacent-row compare.  On the benchmark
@@ -64,25 +69,44 @@ def _validate_rates(rates: Sequence[float]) -> List[float]:
     return rates
 
 
-def _rates_well_separated(rates: Sequence[float]) -> bool:
-    ordered = sorted(rates)
-    for a, b in zip(ordered, ordered[1:]):
-        if b - a <= _DISTINCT_RTOL * b:
-            return False
-    return True
+def _closed_form_trusted(abs_coeff_sum, hops):
+    """Whether Eq. (2)'s closed form of a row of *hops* rates is within
+    :data:`_CLOSED_FORM_TOL` of the exact CDF, given Σ|C_k| (scalars or
+    arrays alike).
+
+    The rates are exact inputs; u = ε/2 is the unit roundoff.  Each
+    computed C_k carries r − 1 subtractions, r − 1 divisions and r − 2
+    multiplications, a relative error of at most (3r − 4)u.  The factor
+    1 − e^{−λ_k t} ∈ [0, 1] is off by less than 4u absolute: u/e from
+    rounding the product λ_k t (x·e^{−x} ≤ 1/e), 2u from the exponential
+    (one ulp) and u from the subtraction (``expm1`` does better).  The
+    multiplication by C_k adds u.  So each term is off by at most
+    (3r + 1)u·|C_k|, and summing r terms adds (r − 1)u·Σ|C_k|: to first
+    order the computed sum is within 4r·u·Σ|C_k| = 2r·ε·Σ|C_k| of the
+    exact CDF.  The gate takes c(r) = 4r, twice that, so the neglected
+    second-order terms and the matrix exponential's own error (~1e-16)
+    stay inside the tolerance; c(r) grows with r as the bound does.
+    Exact repeats make Σ|C_k| infinite or NaN, which compares false.
+    """
+    return abs_coeff_sum * (_ROUNDING_PER_HOP * hops) <= _CLOSED_FORM_TOL
 
 
-def _closed_form_cdf(rates: Sequence[float], t: float) -> float:
-    """Eq. (2) of the paper, valid for pairwise-distinct rates."""
-    total = 0.0
-    for k, lam_k in enumerate(rates):
-        coeff = 1.0
-        for s, lam_s in enumerate(rates):
-            if s == k:
-                continue
-            coeff *= lam_s / (lam_s - lam_k)
-        total += coeff * (1.0 - math.exp(-lam_k * t))
-    return total
+def _closed_form_cdf(rates: Sequence[float], t: float) -> Tuple[float, float]:
+    """Eq. (2) of the paper and the Σ|C_k| of its coefficients (infinite
+    when two rates are equal)."""
+    total = abs_coeff_sum = 0.0
+    try:
+        for k, lam_k in enumerate(rates):
+            coeff = 1.0
+            for s, lam_s in enumerate(rates):
+                if s == k:
+                    continue
+                coeff *= lam_s / (lam_s - lam_k)
+            total += coeff * (1.0 - math.exp(-lam_k * t))
+            abs_coeff_sum += abs(coeff)
+    except ZeroDivisionError:
+        return math.nan, math.inf
+    return total, abs_coeff_sum
 
 
 def _cluster_rates(rates: Sequence[float], rtol: float = 1e-9) -> List[float]:
@@ -124,12 +148,6 @@ def _generator_matrix(rates: Sequence[float]) -> np.ndarray:
     return q
 
 
-def _matrix_cdf(rates: Sequence[float], t: float) -> float:
-    q = _generator_matrix(rates)
-    survival = expm(q * t).sum(axis=1)[0]
-    return float(1.0 - survival)
-
-
 #: Cross-batch memo for the expm fallback.  Trace-quantised rates repeat
 #: the same hop tuples across every per-source sweep of a run, and expm
 #: costs ~200µs per matrix even stacked (scipy iterates per matrix), so
@@ -145,9 +163,11 @@ def _matrix_cdf_batch(rate_lists: Sequence[List[float]], times: np.ndarray) -> n
 
     Rows are grouped by hop count and each group goes through one stacked
     :func:`scipy.linalg.expm` call (scipy applies the same scaling-and-
-    squaring per matrix, so values are identical to the scalar path).
-    Rates are pre-clustered exactly like :func:`hypoexponential_cdf`.
-    Results are memoised per (rate tuple, t) across calls.
+    squaring per matrix, so a row's value does not depend on the rows
+    stacked with it).  This is the fallback of both
+    :func:`hypoexponential_cdf` and :func:`hypoexponential_cdf_batch`.
+    Rates are pre-clustered (:func:`_cluster_rates`), and results are
+    memoised per (rate tuple, t) across calls.
     """
     out = np.zeros(len(rate_lists))
     by_length: dict = {}
@@ -180,22 +200,19 @@ def _matrix_cdf_batch(rate_lists: Sequence[List[float]], times: np.ndarray) -> n
 def hypoexponential_cdf(rates: Sequence[float], t: float) -> float:
     """P(X₁ + … + X_r ≤ t) for independent exponentials with given rates.
 
-    Automatically selects the closed form (Eq. 2) or the
-    matrix-exponential evaluation depending on rate separation, and clamps
-    the result into [0, 1] to absorb floating-point round-off.
+    Takes the closed form (Eq. 2) where :func:`_closed_form_trusted`
+    bounds its rounding error, and the memoised matrix exponential
+    otherwise, and clamps the result into [0, 1] to absorb round-off.
     """
     rates = _validate_rates(rates)
     if t <= 0.0:
         return 0.0
     if len(rates) == 1:
         return 1.0 - math.exp(-rates[0] * t)
-    if _rates_well_separated(rates):
-        value = _closed_form_cdf(rates, t)
-        # The alternating-sign sum can still lose precision for long paths;
-        # fall back whenever the result strays outside the unit interval.
-        if -1e-9 <= value <= 1.0 + 1e-9:
-            return min(1.0, max(0.0, value))
-    return min(1.0, max(0.0, _matrix_cdf(_cluster_rates(rates), t)))
+    value, abs_coeff_sum = _closed_form_cdf(rates, t)
+    if not _closed_form_trusted(abs_coeff_sum, len(rates)):
+        value = float(_matrix_cdf_batch([rates], [t])[0])
+    return min(1.0, max(0.0, value))
 
 
 def pad_rate_rows(rate_rows: Sequence[Sequence[float]]) -> np.ndarray:
@@ -216,21 +233,8 @@ def pad_rate_rows(rate_rows: Sequence[Sequence[float]]) -> np.ndarray:
     return padded
 
 
-def _batch_rows_well_separated(rates: np.ndarray, valid: np.ndarray) -> np.ndarray:
-    """Row-wise version of :func:`_rates_well_separated` on a padded matrix."""
-    # Padding (zeros) sorts to +inf so it never participates in a gap check.
-    sortable = np.where(valid, rates, np.inf)
-    ordered = np.sort(sortable, axis=1)
-    lo, hi = ordered[:, :-1], ordered[:, 1:]
-    pair_valid = np.isfinite(hi)
-    with np.errstate(invalid="ignore"):
-        gap_ok = (hi - lo) > _DISTINCT_RTOL * hi
-    return np.where(pair_valid, gap_ok, True).all(axis=1)
-
-
-def _closed_form_coeff_batch(rates: np.ndarray, mask: np.ndarray):
-    """Eq. (2) coefficients C[i, k] = Π_{s≠k} λ_s / (λ_s − λ_k), plus the
-    per-row well-separated flag."""
+def _closed_form_coeff_batch(rates: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Eq. (2) coefficients C[i, k] = Π_{s≠k} λ_s / (λ_s − λ_k)."""
     diff = rates[:, None, :] - rates[:, :, None]  # diff[i, k, s] = λ_s − λ_k
     numer = np.broadcast_to(rates[:, None, :], diff.shape)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -241,11 +245,10 @@ def _closed_form_coeff_batch(rates: np.ndarray, mask: np.ndarray):
     eye = np.eye(rates.shape[1], dtype=bool)
     np.copyto(ratio, 1.0, where=~contributes | eye)
     # Rows with exactly-duplicated rates produce inf/nan coefficients
-    # here; they are routed to the matrix-exponential fallback by the
-    # caller, so the overflow noise is expected and silenced.
+    # here; the gate routes them to the matrix-exponential fallback, so
+    # the overflow noise is expected and silenced.
     with np.errstate(invalid="ignore", over="ignore"):
-        coeff = ratio.prod(axis=2)
-    return coeff, _batch_rows_well_separated(rates, mask)
+        return ratio.prod(axis=2)
 
 
 def hypoexponential_cdf_batch(
@@ -270,9 +273,9 @@ def hypoexponential_cdf_batch(
     np.ndarray
         ``out[i] = hypoexponential_cdf(rate_rows[i], t_i)`` to within
         1e-10 (property-tested).  The closed form (Eq. 2) is evaluated in
-        one vectorized sweep; rows with clustered rates — or whose
-        alternating-sign sum strays outside the unit interval — fall back
-        to the scalar matrix-exponential path row by row.
+        one vectorized sweep; rows that :func:`_closed_form_trusted`
+        rejects fall back to the matrix exponential, one stacked
+        :func:`scipy.linalg.expm` call per hop count.
     """
     padded = pad_rate_rows(rate_rows)
     if padded.ndim != 2:
@@ -286,7 +289,7 @@ def hypoexponential_cdf_batch(
         # batches (one row per destination of a 10⁵-node sweep) repeat
         # the same hop tuples thousands of times.  Every stage of
         # :func:`_cdf_rows` is row-independent — the closed-form
-        # coefficients, the gap check, and scipy's per-matrix expm — so
+        # coefficients, the gate, and scipy's per-matrix expm — so
         # collapsing duplicate (row, t) pairs returns bitwise the same
         # values at a fraction of the expm cost.  A lexsort brings equal
         # rows together and an adjacent-row compare marks each group's
@@ -327,13 +330,13 @@ def _cdf_rows(padded: np.ndarray, times: np.ndarray) -> np.ndarray:
     tt = times[live][:, None]
 
     # Eq. (2) closed form, batched.
-    coeff, separated = _closed_form_coeff_batch(rates, mask)
+    coeff = _closed_form_coeff_batch(rates, mask)
     with np.errstate(invalid="ignore", over="ignore"):
+        # Single-rate rows: the closed form degenerates to exactly 1 − e^{-λt}.
         terms = coeff * -np.expm1(-rates * tt)
         closed = np.where(mask, terms, 0.0).sum(axis=1)
-        # Single-rate rows: the closed form degenerates to exactly 1 − e^{-λt}.
-        in_unit = (closed >= -1e-9) & (closed <= 1.0 + 1e-9)
-    ok = separated & in_unit
+        abs_coeff_sum = np.where(mask, np.abs(coeff), 0.0).sum(axis=1)
+        ok = _closed_form_trusted(abs_coeff_sum, lengths[live])
     values = np.clip(closed, 0.0, 1.0)
     if not ok.all():
         # Fallback rows take the same route as the scalar
@@ -382,59 +385,3 @@ def path_delivery_probability(rates: Iterable[float], time_budget: float) -> flo
     if not rates:
         return 1.0
     return hypoexponential_cdf(rates, time_budget)
-
-
-class Hypoexponential:
-    """Distribution object for a fixed sequence of hop rates.
-
-    Provides cdf/pdf/mean/variance and sampling; used by the path-weight
-    computation, by tests, and by the analytical sanity checks in the
-    benchmark harness.
-    """
-
-    def __init__(self, rates: Sequence[float]):
-        self._rates = _validate_rates(rates)
-
-    @property
-    def rates(self) -> List[float]:
-        return list(self._rates)
-
-    @property
-    def mean(self) -> float:
-        """E[Y] = Σ 1/λₖ."""
-        return sum(1.0 / lam for lam in self._rates)
-
-    @property
-    def variance(self) -> float:
-        """Var[Y] = Σ 1/λₖ² (independent exponentials)."""
-        return sum(1.0 / lam**2 for lam in self._rates)
-
-    def cdf(self, t: float) -> float:
-        return hypoexponential_cdf(self._rates, t)
-
-    def sf(self, t: float) -> float:
-        """Survival function P(Y > t)."""
-        return 1.0 - self.cdf(t)
-
-    def pdf(self, t: float, eps: float = 1e-6) -> float:
-        """Density via a central difference of the robust CDF.
-
-        The closed-form density (Eq. 1) suffers the same degeneracy as the
-        CDF; a derivative of the robust CDF is accurate enough for every
-        use in this library (plots and tests).
-        """
-        if t <= 0.0:
-            return 0.0
-        h = max(eps, eps * t)
-        lo = max(0.0, t - h)
-        return (self.cdf(t + h) - self.cdf(lo)) / (t + h - lo)
-
-    def sample(self, rng: np.random.Generator, size: int = 1) -> np.ndarray:
-        """Draw *size* end-to-end delays by summing per-hop exponentials."""
-        draws = np.zeros(size)
-        for lam in self._rates:
-            draws = draws + rng.exponential(1.0 / lam, size=size)
-        return draws
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"Hypoexponential(rates={self._rates!r})"

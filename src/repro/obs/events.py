@@ -5,7 +5,9 @@ lifecycle.  Events are flat (time, kind, optional node/data/query ids,
 plus a free-form ``attrs`` mapping) so they serialise losslessly to one
 JSON object per line and back; Python's ``json`` round-trips floats
 exactly (``repr``-based), which is what lets the trace-derived metrics
-match the live counters bit for bit.
+match the live counters bit for bit.  Lines follow the package's one
+JSONL rule (:func:`repro.obs.timeseries.jsonable`): strict JSON, NaN as
+``null`` and ±inf as ``"Infinity"`` / ``"-Infinity"``.
 """
 
 from __future__ import annotations
@@ -14,6 +16,8 @@ import json
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Dict, Mapping, Optional
+
+from repro.obs.timeseries import float_from_json, jsonable
 
 __all__ = ["TraceEventKind", "TraceEvent"]
 
@@ -67,7 +71,7 @@ class TraceEvent:
     attrs: Mapping[str, Any] = field(default_factory=dict)
 
     def to_json(self) -> str:
-        """One compact JSON line (stable key order for diffability)."""
+        """One compact strict-JSON line (stable key order for diffability)."""
         record: Dict[str, Any] = {"t": self.time, "kind": self.kind.value}
         if self.node is not None:
             record["node"] = self.node
@@ -76,14 +80,16 @@ class TraceEvent:
         if self.query_id is not None:
             record["query"] = self.query_id
         if self.attrs:
-            record["attrs"] = dict(self.attrs)
-        return json.dumps(record, separators=(",", ":"), sort_keys=True)
+            record["attrs"] = self.attrs
+        return json.dumps(
+            jsonable(record), separators=(",", ":"), sort_keys=True, allow_nan=False
+        )
 
     @classmethod
     def from_json(cls, line: str) -> "TraceEvent":
         record = json.loads(line)
         return cls(
-            time=float(record["t"]),
+            time=float_from_json(record["t"]),
             kind=TraceEventKind(record["kind"]),
             node=record.get("node"),
             data_id=record.get("data"),

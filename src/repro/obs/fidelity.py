@@ -187,7 +187,7 @@ def delivery_calibration(
             if copy.responder == query.requester:
                 predicted = 1.0
             else:
-                rates = cache.rate_tuples(graph, copy.responder, remaining).get(
+                rates = cache.rate_tuples(graph, copy.responder, remaining).path_rates(
                     query.requester
                 )
                 predicted = (

@@ -170,6 +170,24 @@ class TestPull:
         harness.contact(2, 0, now=5.0)
         assert harness.nodes[0].popularity.request_count(7) == 1
 
+    def test_router_not_asked_for_a_query_the_peer_has_seen(
+        self, hub_spoke_graph, monkeypatch
+    ):
+        """A peer that already holds a query bundle gets no copy, so the
+        query router is not asked to decide one (nor traces a decision)."""
+        harness = SchemeHarness(make_scheme(k=1), hub_spoke_graph)
+        harness.add_query(make_query(query_id=1, requester=2, data_id=7, created_at=0.0))
+        (bundle,) = [b for b in harness.nodes[2].bundles if isinstance(b, QueryBundle)]
+        harness.nodes[3].store_bundle(bundle)
+        router = harness.scheme._query_router
+        asked = []
+        decide = router.decide
+        monkeypatch.setattr(
+            router, "decide", lambda *args: asked.append(args) or decide(*args)
+        )
+        harness.contact(2, 3, now=5.0)
+        assert asked == []
+
     def test_push_pull_conjunction(self, hub_spoke_graph):
         """Data arriving after the query still answers it (Sec. V)."""
         harness = SchemeHarness(make_scheme(k=1), hub_spoke_graph)

@@ -7,11 +7,7 @@ from repro.core.ncl import sparse_ncl_metrics
 from repro.graph import weight_cache
 from repro.graph.contact_graph import ContactGraph
 from repro.graph.paths import PathMode, shortest_path_weights_from
-from repro.graph.weight_cache import (
-    PathWeightCache,
-    cached_path_weights,
-    shared_weight_cache,
-)
+from repro.graph.weight_cache import PathWeightCache, shared_weight_cache
 
 
 @pytest.fixture
@@ -141,8 +137,10 @@ class TestPathWeightCache:
         first = cache.rate_tuples(graph, 0, 10.0)
         second = cache.rate_tuples(graph, 0, 999.0)
         assert first is second
-        assert first[3] == (1.0, 0.5, 0.25)
-        assert first[0] == ()
+        assert first.path_rates(3).tolist() == [1.0, 0.5, 0.25]
+        assert first.path_rates(0).tolist() == []
+        assert first.order.tolist() == [1, 2, 3]
+        assert not any(array.flags.writeable for array in first)
 
     def test_rate_tuples_budget_keyed_in_max_probability_mode(self, graph):
         cache = PathWeightCache()
@@ -204,7 +202,3 @@ class TestStaleCacheProtection:
 class TestSharedCache:
     def test_shared_singleton(self):
         assert shared_weight_cache() is shared_weight_cache()
-
-    def test_convenience_wrapper_uses_shared_cache(self, graph):
-        direct = shortest_path_weights_from(graph, 0, 7.0)
-        np.testing.assert_array_equal(cached_path_weights(graph, 0, 7.0), direct)

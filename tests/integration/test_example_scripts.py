@@ -5,6 +5,7 @@ importable pieces (and the experiment runner's CLI path end-to-end at
 smoke scale) so they cannot rot.
 """
 
+import hashlib
 import runpy
 import subprocess
 import sys
@@ -13,6 +14,11 @@ from pathlib import Path
 import pytest
 
 EXAMPLES = Path(__file__).resolve().parents[2] / "examples"
+
+#: ``sha256sum`` lines of every artifact ``run_paper_experiments.py
+#: --scale smoke`` writes.  A change that moves an output regenerates it:
+#: run the script with ``--outdir D``, then ``(cd D && sha256sum *)``.
+SMOKE_DIGESTS = Path(__file__).with_name("smoke_results.sha256")
 
 
 class TestRunPaperExperiments:
@@ -40,6 +46,33 @@ class TestRunPaperExperiments:
         assert (tmp_path / "fig9b.csv").exists()
         csv_text = (tmp_path / "fig9b.csv").read_text()
         assert csv_text.startswith("x,")
+
+    def test_smoke_artifacts_match_committed_digests(self, tmp_path):
+        """The smoke-scale results are byte-identical to the committed
+        digests.  The run gets a fresh process, as the digests did: in a
+        shared one the weight cache's history can change which rows a
+        run is served."""
+        proc = subprocess.run(
+            [
+                sys.executable,
+                str(EXAMPLES / "run_paper_experiments.py"),
+                "--scale",
+                "smoke",
+                "--outdir",
+                str(tmp_path),
+            ],
+            capture_output=True,
+            text=True,
+            timeout=600,
+        )
+        assert proc.returncode == 0, proc.stderr
+        written = {
+            path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in tmp_path.iterdir()
+        }
+        lines = SMOKE_DIGESTS.read_text().splitlines()
+        committed = {name: digest for digest, name in map(str.split, lines)}
+        assert written == committed
 
     def test_unknown_experiment_fails_cleanly(self, tmp_path):
         proc = subprocess.run(

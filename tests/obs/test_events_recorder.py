@@ -18,6 +18,7 @@ from repro.obs import (
     read_events,
 )
 from repro.obs.recorder import ensure_events
+from repro.obs.timeseries import float_from_json
 
 
 class TestTraceEvent:
@@ -37,6 +38,24 @@ class TestTraceEvent:
         time = 1.0 / 3.0 + 1e-16
         event = TraceEvent(time=time, kind=TraceEventKind.SAMPLE)
         assert TraceEvent.from_json(event.to_json()).time == time
+
+    def test_lines_are_strict_json(self):
+        """A non-finite attr (an EWMA score off a zero-variance baseline)
+        or time follows the JSONL rule, so strict parsers accept the line."""
+
+        def reject(constant):
+            raise ValueError(f"bare {constant} token")
+
+        event = TraceEvent(
+            time=1.0, kind=TraceEventKind.HEALTH_ANOMALY, attrs={"score": math.inf}
+        )
+        record = json.loads(event.to_json(), parse_constant=reject)
+        assert float_from_json(record["attrs"]["score"]) == math.inf
+        back = TraceEvent.from_json(event.to_json())
+        assert float_from_json(back.attrs["score"]) == math.inf
+        untimed = TraceEvent(time=math.nan, kind=TraceEventKind.ROUTE_DECISION)
+        json.loads(untimed.to_json(), parse_constant=reject)
+        assert math.isnan(TraceEvent.from_json(untimed.to_json()).time)
 
     def test_omits_absent_ids(self):
         record = json.loads(TraceEvent(time=0.0, kind=TraceEventKind.SAMPLE).to_json())

@@ -244,10 +244,25 @@ def test_dense_sweeps_match_scipy_on_the_dense_cost_matrix(
     assert pred.tobytes() == np.atleast_2d(want_pred).tobytes()
 
 
+def _python_walk(graph: ContactGraph, source: int):
+    """Hop-rate tuples of one source's scipy tree, node by node: nodes in
+    ascending expected delay (ties by id) each extend their predecessor's
+    tuple by one :meth:`ContactGraph.rate` read."""
+    dist, pred = paths._expected_delay_dijkstra(graph, [source])
+    reachable = np.flatnonzero(np.isfinite(dist[0]))
+    tuples = {source: ()}
+    for node in reachable[np.argsort(dist[0, reachable], kind="stable")]:
+        node = int(node)
+        if node != source:
+            before = int(pred[0, node])
+            tuples[node] = tuples[before] + (graph.rate(before, node),)
+    return tuples
+
+
 def _single_source_sweep(graph: ContactGraph, source: int, budget: float) -> np.ndarray:
     """One source on its own: hop-rate tuples into one Eq. (2) batch,
     padded to that source's longest path."""
-    tuples = hop_rate_tuples_from(graph, source, budget)
+    tuples = _python_walk(graph, source)
     weights = np.zeros(graph.num_nodes)
     nodes = list(tuples)
     weights[nodes] = hypoexponential_cdf_batch([tuples[n] for n in nodes], budget)
@@ -296,6 +311,44 @@ def test_weight_rows_are_byte_identical_to_single_source_sweeps(case):
     _assert_rows_are_single_source_sweeps(*case)
 
 
+def _padded(rate_rows, width: int, right: bool = False) -> np.ndarray:
+    """Rate tuples zero-padded to *width*, on the right or on the left."""
+    out = np.zeros((len(rate_rows), width))
+    for i, rates in enumerate(rate_rows):
+        start = width - len(rates) if right else 0
+        out[i, start : start + len(rates)] = rates
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=weight_row_cases())
+def test_hop_walk_rows_match_a_per_node_python_walk(case):
+    """The vectorized walk rebuilds every path's hop rates byte for byte
+    in each layout: a source's :class:`HopRows` (left-aligned, settle
+    order), the sweeps' left-aligned rows, and the all-pairs matrix's
+    right-aligned rows."""
+    graph, sources, budget = case
+    for source in sources:
+        tuples = _python_walk(graph, source)
+        rows = hop_rate_tuples_from(graph, source, budget)
+        width = max(1, max(len(rates) for rates in tuples.values()))
+        want = [tuples.get(node, ()) for node in range(graph.num_nodes)]
+        assert rows.rates.tobytes() == _padded(want, width).tobytes()
+        assert rows.hops.tolist() == [
+            len(tuples[node]) if node in tuples else -1 for node in range(graph.num_nodes)
+        ]
+        assert rows.order.tolist() == list(tuples)[1:]
+    dist, pred = paths._expected_delay_dijkstra(graph, sources)
+    row_ids, nodes = np.nonzero(np.isfinite(dist))
+    back, hops = paths._hop_walk(graph, pred, row_ids, nodes)
+    want = [_python_walk(graph, sources[r])[j] for r, j in zip(row_ids, nodes)]
+    assert hops.tolist() == [len(rates) for rates in want]
+    width = max(1, max(hops))
+    assert paths._left_aligned(back, hops).tobytes() == _padded(want, width).tobytes()
+    right = np.ascontiguousarray(back[:, ::-1])
+    assert right.tobytes() == _padded(want, width, right=True).tobytes()
+
+
 def _chain(sparse: bool) -> ContactGraph:
     """A 13-node chain with well-separated rates."""
     rates = [0.05 * 1.5**i for i in range(12)]
@@ -316,6 +369,22 @@ def test_weight_rows_mix_pad_widths_and_cross_the_dedup_threshold():
     reaches."""
     for sparse in (False, True):
         _assert_rows_are_single_source_sweeps(_chain(sparse), CHAIN_SOURCES, 30.0)
+
+
+def test_weight_matrix_scores_right_aligned_rows():
+    """The all-pairs matrix scores each upper-triangle pair on its
+    source's tree, every row right-aligned at one width.  Rows of eight
+    or more hops sum pairwise by position, so another layout shows in
+    the last bits."""
+    for sparse in (False, True):
+        graph = _chain(sparse)
+        n = graph.num_nodes
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        tuples = [_python_walk(graph, i)[j] for i, j in pairs]
+        width = max(len(rates) for rates in tuples)
+        want = hypoexponential_cdf_batch(_padded(tuples, width, right=True), 30.0)
+        matrix = shortest_path_weight_matrix(graph, 30.0)
+        assert matrix[tuple(zip(*pairs))].tobytes() == want.tobytes()
 
 
 def test_weight_rows_do_not_depend_on_source_chunking(monkeypatch):

@@ -102,6 +102,25 @@ def test_knn_rows_match_dense_oracle_across_densities(contacts_per_node, k):
 
 @settings(max_examples=40, deadline=None)
 @given(case=graph_cases, k=st.integers(min_value=1, max_value=24))
+# W[5, 7] is a 7-hop path with four rates within 0.6% of each other
+# (Σ|C_k| = 3.4e8): the oracle's scalar closed form read it 1.49e-8
+# short of 1.0 until the Eq. 2 gate sent it to the matrix exponential.
+@example(
+    case=(
+        9,
+        [
+            (0, 5, 0.007856216205547247),
+            (0, 6, 0.001953125),
+            (1, 2, 0.00390625),
+            (1, 6, 0.0078125),
+            (2, 4, 0.009765625),
+            (3, 4, 0.007820987096350544),
+            (3, 7, 0.007860347392412252),
+            (5, 8, 0.0078125),
+        ],
+    ),
+    k=8,
+)
 def test_knn_rows_match_dense_oracle_random(case, k):
     graph = _from_case(case)
     fast = knn_weight_matrix(graph, 6 * HOUR, k)
