@@ -22,7 +22,7 @@ Commands
 ``watch``
     Render a run directory's sample log: a serve run's health windows,
     else a simulate run's time-series rows (or a bare ``health.jsonl`` /
-    ``timeseries.jsonl``); ``--follow`` re-renders as the log grows.
+    ``timeseries.jsonl``).
 ``bench``
     Run the kernel microbenchmarks and fail on regression vs baseline.
 ``trace``
@@ -387,7 +387,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
 def cmd_watch(args: argparse.Namespace) -> int:
     import os
-    import time
 
     from repro.experiments.runstore import render_sample_log, sample_log_path
 
@@ -399,19 +398,8 @@ def cmd_watch(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    if not args.follow:
-        print(render_sample_log(path, limit=args.limit))
-        return 0
-    last_size = -1
-    try:
-        while True:
-            size = os.path.getsize(path)
-            if size != last_size:
-                last_size = size
-                print(render_sample_log(path, limit=args.limit))
-            time.sleep(args.interval)
-    except KeyboardInterrupt:
-        return 0
+    print(render_sample_log(path, limit=args.limit))
+    return 0
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
@@ -847,14 +835,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_watch.add_argument(
         "--limit", type=int, default=20, metavar="N",
         help="show at most the last N windows or rows",
-    )
-    p_watch.add_argument(
-        "--follow", action="store_true",
-        help="keep watching and re-render whenever the log grows",
-    )
-    p_watch.add_argument(
-        "--interval", type=float, default=2.0, metavar="SECONDS",
-        help="poll interval for --follow",
     )
     p_watch.set_defaults(func=cmd_watch)
     return parser

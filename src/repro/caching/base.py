@@ -326,6 +326,8 @@ class CachingScheme(abc.ABC):
                 continue
             if self.graph is None or self._response_router is None:
                 continue
+            if y.has_seen(bundle.key):
+                continue
             decision = self._response_router.decide(
                 x.node_id,
                 y.node_id,
@@ -333,7 +335,7 @@ class CachingScheme(abc.ABC):
                 self.graph,
                 bundle.query.remaining(now),
             )
-            if decision.transfers and not y.has_seen(bundle.key):
+            if decision.transfers:
                 if budget.try_consume(bundle.size_bits):
                     if decision.action is ForwardAction.HANDOVER:
                         x.drop_bundle(bundle.key)

@@ -94,10 +94,12 @@ class IncidentalScheme(CachingScheme):
                 continue
             destination = bundle.target_central
             assert destination is not None  # baselines always set the source
+            if y.has_seen(bundle.key):
+                continue
             decision = self._query_router.decide(
                 x.node_id, y.node_id, destination, self.graph, bundle.query.remaining(now)
             )
-            if not decision.transfers or y.has_seen(bundle.key):
+            if not decision.transfers:
                 continue
             if not budget.try_consume(bundle.size_bits):
                 continue

@@ -352,6 +352,8 @@ class IntentionalCaching(CachingScheme):
             if bundle.spilling:
                 self._spill_push(x, y, bundle, now, budget)
                 continue
+            if y.has_seen(bundle.key):
+                continue
             decision = self._push_router.decide(
                 x.node_id,
                 y.node_id,
@@ -359,7 +361,7 @@ class IntentionalCaching(CachingScheme):
                 self.graph,
                 bundle.data.remaining_lifetime(now),
             )
-            if not decision.transfers or y.has_seen(bundle.key):
+            if not decision.transfers:
                 continue
             already_cached = y.find_data(bundle.data.data_id, now) is not None
             cost = 0 if already_cached else bundle.size_bits

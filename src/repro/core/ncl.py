@@ -6,8 +6,9 @@ The metric of node *i* (Eq. 3) is
 
 the average probability that data reaches *i* from a uniformly random
 node within the time budget T along the shortest opportunistic path.
-Contact rates are symmetric, so p_{ji} = p_{ij} and one single-source
-computation per node suffices.
+Contact rates are symmetric, so a path weighs the same both ways and
+one single-source computation per node suffices: node i's own tree
+decides between equal-cost paths (DESIGN.md §5b).
 
 The network administrator selects the top-K metric nodes as central nodes
 before any data access (Sec. IV-A); :func:`select_ncls` reproduces that
@@ -26,10 +27,14 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.graph.contact_graph import ContactGraph
-from repro.graph.paths import PathMode, _reference_shortest_path_weights_from
+from repro.graph.paths import (
+    PathMode,
+    _path_weights,
+    _reference_shortest_path_weights_from,
+    _tree_walk,
+)
 from repro.graph.sparse import _reference_knn_weight_rows
 from repro.graph.weight_cache import shared_weight_cache
-from repro.mathutils.hypoexponential import hypoexponential_cdf_batch
 
 __all__ = [
     "DEFAULT_KNN_K",
@@ -101,7 +106,9 @@ def sparse_ncl_metrics(
 
     A lower bound on :func:`ncl_metrics` that converges monotonically as
     *k* grows (truncation only drops non-negative terms) and matches the
-    full metric to oracle tolerance once ``k >= N-1``.  Its hot loop is
+    full metric up to summation round-off once ``k >= N-1``, except
+    where the k-NN tie rule keeps another of several equal-cost trees
+    (DESIGN.md §5c).  Its hot loop is
     :func:`~repro.graph.sparse.knn_weight_rows`; the row sums are a
     sequential ``np.bincount``.
     """
@@ -338,32 +345,21 @@ def calibrate_time_budget(
         rng = np.random.default_rng(seed)
         sources = sorted(rng.choice(sources, size=sample_sources, replace=False))
 
-    # Precompute the hop-rate rows once (paths don't depend on T in
+    # Walk the sampled sources' trees once (paths don't depend on T in
     # expected-delay mode; in max-probability mode this is a fixed-point
-    # approximation anchored at a mid-range budget).  The rows come from
-    # the shared weight cache, left-aligned at the widest sampled
-    # source, each source's reachable nodes in settle order, and every
-    # bisection probe evaluates all of them in a single batched Eq. (2)
-    # call.
+    # approximation anchored at a mid-range budget); every bisection
+    # probe scores the walk's paths in one Eq. (2) pass.
     anchor = 1.0
     positive = [rate for _, _, rate in graph.edges()]
     if positive:
         anchor = 1.0 / float(np.median(positive))
-    cache = shared_weight_cache()
-    blocks = [cache.rate_tuples(graph, s, max(anchor, 1.0), mode) for s in sources]
-    counts = [len(rows.order) for rows in blocks]
-    padded = np.zeros((sum(counts), max(rows.rates.shape[1] for rows in blocks)))
-    segments = np.repeat(np.arange(len(sources)), counts)  # index into *sources*
-    start = 0
-    for rows, count in zip(blocks, counts):
-        padded[start : start + count, : rows.rates.shape[1]] = rows.rates[rows.order]
-        start += count
+    rows, _, rates, hops = _tree_walk(graph, sources, max(anchor, 1.0), mode)
+    rows, rates = rows[hops > 0], rates[hops > 0]
 
     def median_metric(budget: float) -> float:
-        totals = np.zeros(len(sources))
-        if len(padded):
-            probabilities = hypoexponential_cdf_batch(padded, budget)
-            np.add.at(totals, segments, probabilities)
+        totals = np.bincount(
+            rows, weights=_path_weights(rates, budget), minlength=len(sources)
+        )
         return float(np.median(totals / (graph.num_nodes - 1)))
 
     # Bracket the target.

@@ -52,15 +52,16 @@ __all__ = [
 ]
 
 #: Most destination rows one batched weight sweep evaluates at once.  A
-#: sweep's transient memory — the padded Eq. (2) batch and the hop-slot
-#: walk behind it — grows with sources × nodes, so on large
+#: sweep's transient memory — the Eq. (2) batch and the hop-slot walk
+#: behind it — grows with sources × nodes, so on large
 #: graphs the sources are split into chunks of at most this many rows
 #: (at least one source each).  Rows do not depend on the chunking.
 #: Trace-scale graphs (tens to hundreds of nodes) fit all K central
 #: sources in one chunk; above 2048 nodes a sweep goes one source at a
 #: time and peaks where a single-source sweep does (batching 8 sources
 #: of a 5000-node sparse graph in one chunk measured 4.5× the
-#: tracemalloc peak of single sweeps, and ran no faster).
+#: tracemalloc peak of single sweeps, and ran no faster).  The
+#: all-pairs matrix is not chunked.
 _SWEEP_ROWS = 4096
 
 
@@ -224,8 +225,8 @@ def shortest_path(
 # the 1/λ cost matrix, so the whole sweep — including the all-pairs case
 # the NCL metric needs — runs through scipy's C Dijkstra.  One walk of
 # the predecessor rows (:func:`_hop_walk`) recovers every requested
-# path's hop rates at once, and the rows are scored in one batched
-# Eq. (2) evaluation.  The pure-Python implementations above are
+# path's hop rates at once, and :func:`_path_weights` scores them from
+# their sorted rates.  The pure-Python implementations above are
 # retained as ``_reference_*`` oracles (property-tested to 1e-9).
 
 
@@ -261,36 +262,91 @@ def _hop_walk(
     graph: ContactGraph, pred: np.ndarray, rows: np.ndarray, nodes: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Hop rates of the tree paths to ``nodes[i]`` in the predecessor rows
-    ``pred[rows[i]]`` of one :func:`_expected_delay_dijkstra` call.
+    ``pred[rows[i]]`` (scipy's layout: negative at a row's source and
+    where a node is unreachable).
 
-    All pairs walk back toward their sources together, one hop slot per
-    step, until each reaches its source (scipy's negative predecessor).
-    Each step reads the rates of the edges it crosses from
+    The rate of every tree edge is read once from
     :meth:`ContactGraph.csr_rates`, found by one ``searchsorted`` over
     the CSR keys ``row·N + column``, so both storage modes share the
-    walk and nothing N×N is allocated.  Returns ``(back, hops)``:
-    ``back[i, c]`` is the rate of the c-th hop counted back from
-    ``nodes[i]`` (zero past its source) and ``hops[i]`` is the pair's
-    hop count.  Every requested node must be reachable.
+    walk and nothing N×N is allocated.  Then all pairs walk back toward
+    their sources together, one hop slot per step.  Returns
+    ``(back, hops)``: ``back[i, c]`` is the rate of the c-th hop counted
+    back from ``nodes[i]`` (zero past its source) and ``hops[i]`` is the
+    pair's hop count.  Every requested node must be reachable.
     """
     indptr, indices, data = graph.csr_rates()
     n = graph.num_nodes
     keys = np.repeat(np.arange(n, dtype=np.int64) * n, np.diff(indptr)) + indices
-    cur = np.array(nodes, dtype=np.int64)
-    prev = pred[rows, cur].astype(np.int64)
-    hops = np.zeros(len(cur), dtype=np.int64)
-    live = np.flatnonzero(prev >= 0)
-    columns: List[np.ndarray] = []
-    while len(live):
-        column = np.zeros(len(cur))
-        column[live] = data[np.searchsorted(keys, prev[live] * n + cur[live])]
-        columns.append(column)
-        hops[live] += 1
-        cur[live] = prev[live]
-        prev[live] = pred[rows[live], cur[live]]
-        live = live[prev[live] >= 0]
-    back = np.column_stack(columns) if columns else np.zeros((len(cur), 1))
+    # Flat indices row·N + node into the predecessor rows.
+    pred = pred.astype(np.int64).ravel()
+    tree = np.flatnonzero(pred >= 0)
+    tree_rate = np.zeros(len(pred))
+    tree_rate[tree] = data[np.searchsorted(keys, pred[tree] * n + tree % n)]
+    live = np.arange(len(nodes))
+    base = np.asarray(rows, dtype=np.int64) * n
+    at = base + nodes
+    steps: List[Tuple[np.ndarray, np.ndarray]] = []
+    while True:
+        step = pred[at]
+        keep = np.flatnonzero(step >= 0)
+        if not len(keep):
+            break
+        live, base, at = live[keep], base[keep], at[keep]
+        steps.append((live, tree_rate[at]))
+        at = base + step[keep]
+    back = np.zeros((len(nodes), max(1, len(steps))))
+    hops = np.zeros(len(nodes), dtype=np.int64)
+    for column, (pairs, rates) in enumerate(steps):
+        back[pairs, column] = rates
+        hops[pairs] += 1
     return back, hops
+
+
+def _tree_walk(
+    graph: ContactGraph, sources: Sequence[int], time_budget: float, mode: PathMode
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Every reachable (source, node) pair of the shortest-path trees of
+    *sources* (validated), with its :func:`_hop_walk` rows.
+
+    Returns ``(rows, nodes, back, hops)``: pair i is
+    ``(sources[rows[i]], nodes[i])``, in row-major order, sources
+    included (zero hops).  Expected-delay trees are scipy's, from one
+    :func:`_expected_delay_dijkstra` over all *sources*; max-probability
+    trees come from the pure-Python search, one source at a time.
+    """
+    if mode is PathMode.EXPECTED_DELAY:
+        dist, pred = _expected_delay_dijkstra(graph, sources)
+        reach = np.isfinite(dist)
+    else:
+        pred = np.full((len(sources), graph.num_nodes), -1, dtype=np.int64)
+        reach = np.zeros(pred.shape, dtype=bool)
+        for row, source in enumerate(sources):
+            for node, path in shortest_paths_from(graph, source, time_budget, mode).items():
+                reach[row, node] = True
+                if path.hop_count:
+                    pred[row, node] = path.nodes[-2]
+    rows, nodes = np.nonzero(reach)
+    back, hops = _hop_walk(graph, pred, rows, nodes)
+    return rows, nodes, back, hops
+
+
+def _path_weights(rates: np.ndarray, time_budget: float) -> np.ndarray:
+    """Eq. (2) weights of paths given as zero-padded hop-rate rows, each
+    row's rates in any order and any columns (an all-zero row is a
+    zero-hop path, weight 1).
+
+    Each row's rates are sorted, the padding first, and the whole batch
+    is one :func:`hypoexponential_cdf_batch` call, whose every stage is
+    row-independent and whose row sums ignore padding.  So a weight's
+    bits depend only on its path's rate multiset: not on hop order or
+    direction, nor on padding, nor on the other rows of the batch.  A
+    path and its reverse are one row, which the batch's duplicate-row
+    collapse scores once.  This is the one batched Eq. (2) evaluation of
+    a path: weight rows, the all-pairs matrix, k-NN rows and calibration
+    probes all score here.
+    """
+    width = int(np.count_nonzero(rates, axis=1).max(initial=1))
+    return hypoexponential_cdf_batch(np.sort(rates, axis=1)[:, -width:], time_budget)
 
 
 def _left_aligned(back: np.ndarray, hops: np.ndarray) -> np.ndarray:
@@ -307,14 +363,10 @@ class HopRows(NamedTuple):
     ``rates[j, :hops[j]]`` are the rates of the path to node ``j`` in hop
     order from the source, zero-padded on the right to the longest path;
     ``hops[j]`` is 0 at the source and -1 where ``j`` is unreachable.
-    ``order`` lists the other reachable nodes in the order the search
-    settles them: ascending expected delay, ties by node id
-    (max-probability mode: non-increasing weight, ties by node id).
     """
 
     rates: np.ndarray
     hops: np.ndarray
-    order: np.ndarray
 
     def path_rates(self, node: int) -> Optional[np.ndarray]:
         """The hop rates of the path to *node*, or ``None`` if unreachable."""
@@ -331,43 +383,21 @@ def hop_rate_tuples_from(
     """Hop rates of the shortest opportunistic paths from *source*.
 
     The cheap sibling of :func:`shortest_paths_from` when only the rate
-    sequences are needed (path weights, calibration probes): in
-    expected-delay mode one scipy Dijkstra and one :func:`_hop_walk`
-    build every row without materialising :class:`OpportunisticPath`
-    objects.  Max-probability paths come from the pure-Python search.
+    sequences are needed: one :func:`_tree_walk` builds every row
+    without materialising :class:`OpportunisticPath` objects in
+    expected-delay mode.
     """
     if not 0 <= source < graph.num_nodes:
         raise PathError(f"source {source} outside graph of {graph.num_nodes} nodes")
     if time_budget <= 0:
         raise PathError("time budget must be positive")
     with maybe_span(active_profiler(), "kernel.rate_tuples"):
-        return _hop_rate_tuples_from(graph, source, time_budget, mode)
-
-
-def _hop_rate_tuples_from(
-    graph: ContactGraph,
-    source: int,
-    time_budget: float,
-    mode: PathMode,
-) -> HopRows:
-    hops = np.full(graph.num_nodes, -1, dtype=np.int64)
-    if mode is not PathMode.EXPECTED_DELAY:
-        paths = shortest_paths_from(graph, source, time_budget, mode)
-        width = max(1, max(path.hop_count for path in paths.values()))
-        rates = np.zeros((graph.num_nodes, width))
-        for node, path in paths.items():
-            rates[node, : path.hop_count] = path.rates
-            hops[node] = path.hop_count
-        order = np.array([node for node in paths if node != source], dtype=np.int64)
-        return HopRows(rates, hops, order)
-    dist, pred = _expected_delay_dijkstra(graph, sources=[source])
-    nodes = np.flatnonzero(np.isfinite(dist[0]))
-    back, path_hops = _hop_walk(graph, pred, np.zeros_like(nodes), nodes)
-    rates = np.zeros((graph.num_nodes, back.shape[1]))
-    rates[nodes] = _left_aligned(back, path_hops)
-    hops[nodes] = path_hops
-    order = nodes[np.argsort(dist[0, nodes], kind="stable")]
-    return HopRows(rates, hops, order[order != source])
+        _, nodes, back, path_hops = _tree_walk(graph, [source], time_budget, mode)
+        rates = np.zeros((graph.num_nodes, back.shape[1]))
+        rates[nodes] = _left_aligned(back, path_hops)
+        hops = np.full(graph.num_nodes, -1, dtype=np.int64)
+        hops[nodes] = path_hops
+        return HopRows(rates, hops)
 
 
 def shortest_path_weights_from(
@@ -379,9 +409,8 @@ def shortest_path_weights_from(
     """Vector of path weights p_{source,j}(T) for every node j.
 
     Unreachable nodes get weight 0; the source itself gets weight 1.
-    This is the inner quantity of the NCL metric (Eq. 3) — contact rates
-    are symmetric, so p_{ij} = p_{ji}.  The one-source case of
-    :func:`shortest_path_weight_rows`.
+    This is the inner quantity of the NCL metric (Eq. 3).  The
+    one-source case of :func:`shortest_path_weight_rows`.
     """
     return shortest_path_weight_rows(graph, [source], time_budget, mode)[0]
 
@@ -394,13 +423,12 @@ def shortest_path_weight_rows(
 ) -> np.ndarray:
     """Path-weight vectors from several sources in one sweep.
 
-    Row ``r`` is p_{sources[r], j}(T) for every node j, byte-identical
-    to what a sweep from that source alone returns.  In expected-delay
-    mode the whole batch is one scipy Dijkstra over all sources, one
-    :func:`_hop_walk` and one batched Eq. (2) evaluation per distinct pad
-    width (see :func:`_expected_delay_weight_rows`), so K central-node
-    vectors cost one graph conversion instead of K.  Graphs too large for that are
-    swept in chunks of sources (see :data:`_SWEEP_ROWS`).
+    Row ``r`` is p_{sources[r], j}(T) for every node j, scored on source
+    ``sources[r]``'s own tree and byte-identical to what a sweep from
+    that source alone returns (see :func:`_weight_rows`), so K
+    central-node vectors cost one graph conversion instead of K.
+    Graphs too large for that are swept in chunks of sources (see
+    :data:`_SWEEP_ROWS`).
     """
     sources = [int(source) for source in sources]
     for source in sources:
@@ -413,48 +441,35 @@ def shortest_path_weight_rows(
     if not sources:
         return np.zeros((0, graph.num_nodes))
     with maybe_span(active_profiler(), "kernel.weight_rows"):
-        if mode is not PathMode.EXPECTED_DELAY:
-            return np.vstack(
-                [
-                    _reference_shortest_path_weights_from(graph, s, time_budget, mode)
-                    for s in sources
-                ]
-            )
         chunk = max(1, _SWEEP_ROWS // graph.num_nodes)
         return np.vstack(
             [
-                _expected_delay_weight_rows(graph, sources[i : i + chunk], time_budget)
+                _weight_rows(graph, sources[i : i + chunk], time_budget, mode)
                 for i in range(0, len(sources), chunk)
             ]
         )
 
 
-def _expected_delay_weight_rows(
-    graph: ContactGraph, sources: List[int], time_budget: float
+def _weight_rows(
+    graph: ContactGraph, sources: List[int], time_budget: float, mode: PathMode
 ) -> np.ndarray:
-    """Expected-delay weight rows for *sources* (validated, non-empty).
+    """Weight rows for *sources* (validated, non-empty).
 
-    One :func:`_hop_walk` over every reachable (source, node) pair; each
-    source's rows are left-aligned and padded to its own longest path,
-    as a single-source sweep pads them, and sources are grouped by that
-    width so each group is one :func:`hypoexponential_cdf_batch` call.
-    The grouping is what keeps rows byte-identical across batch
-    compositions: every stage of the batch is row-independent, but
-    numpy's pairwise row sum groups its terms by row width, so a row
-    padded wider can differ in the last ulp.
+    Expected-delay mode scores every reachable (source, node) pair of
+    one :func:`_tree_walk` with :func:`_path_weights`, so each row
+    depends only on its own source's tree.  Max-probability rows are the
+    pure-Python sweeps.
     """
-    dist, pred = _expected_delay_dijkstra(graph, sources)
-    rows, nodes = np.nonzero(np.isfinite(dist))
-    back, hops = _hop_walk(graph, pred, rows, nodes)
-    hop_rates = _left_aligned(back, hops)
-    widths = np.ones(len(sources), dtype=np.int64)
-    np.maximum.at(widths, rows, hops)
-    weights = np.zeros((len(sources), graph.num_nodes))
-    for width in np.unique(widths):
-        pick = np.flatnonzero(widths[rows] == width)
-        weights[rows[pick], nodes[pick]] = hypoexponential_cdf_batch(
-            hop_rates[pick, :width], time_budget
+    if mode is not PathMode.EXPECTED_DELAY:
+        return np.vstack(
+            [
+                _reference_shortest_path_weights_from(graph, s, time_budget, mode)
+                for s in sources
+            ]
         )
+    rows, nodes, back, _ = _tree_walk(graph, sources, time_budget, mode)
+    weights = np.zeros((len(sources), graph.num_nodes))
+    weights[rows, nodes] = _path_weights(back, time_budget)
     return weights
 
 
@@ -466,47 +481,16 @@ def shortest_path_weight_matrix(
     """All-pairs path-weight matrix W with W[i, j] = p_{ij}(T).
 
     The NCL metric (Eq. 3) and selection consume rows of this matrix.
-    In expected-delay mode one all-sources scipy Dijkstra and one
-    :func:`_hop_walk` feed a single batched Eq. (2) evaluation across
-    every (source, destination) pair of the upper triangle.
+    Row i is byte for byte ``shortest_path_weight_rows(graph, [i], T)``:
+    the rows of all sources from one all-sources sweep, without the
+    source chunking (the result is N×N anyway).  Each row follows its own
+    source's tree, so W is asymmetric only where equal-cost trees carry
+    different rate multisets.
     """
     if time_budget <= 0:
         raise PathError("time budget must be positive")
     with maybe_span(active_profiler(), "kernel.weight_matrix"):
-        return _shortest_path_weight_matrix(graph, time_budget, mode)
-
-
-def _shortest_path_weight_matrix(
-    graph: ContactGraph,
-    time_budget: float,
-    mode: PathMode,
-) -> np.ndarray:
-    n = graph.num_nodes
-    if mode is not PathMode.EXPECTED_DELAY:
-        return np.vstack(
-            [shortest_path_weights_from(graph, s, time_budget, mode) for s in range(n)]
-        )
-    dist, pred = _expected_delay_dijkstra(graph)
-    # Rates are symmetric and Eq. (2) is invariant under hop reordering,
-    # so p_ij = p_ji: only the upper triangle of reachable pairs is
-    # evaluated.  The Dijkstra pass is scipy's C implementation — its
-    # tie-breaking between equal-cost trees picks the rate multisets
-    # that define the result.
-    ii, jj = np.triu_indices(n, k=1)
-    reachable = np.isfinite(dist[ii, jj])
-    ii, jj = ii[reachable], jj[reachable]
-    weights = np.zeros((n, n))
-    np.fill_diagonal(weights, 1.0)  # trivial zero-hop path to oneself
-    if len(ii):
-        # Each row reads source → destination with leading zero padding.
-        # Eq. (2) is order-invariant mathematically but *not* in float
-        # arithmetic, so rows keep the hop order the scalar oracle
-        # evaluates.
-        back, _ = _hop_walk(graph, pred, ii, jj)
-        pair_weights = hypoexponential_cdf_batch(back[:, ::-1], time_budget)
-        weights[ii, jj] = pair_weights
-        weights[jj, ii] = pair_weights
-    return weights
+        return _weight_rows(graph, list(range(graph.num_nodes)), time_budget, mode)
 
 
 def _reference_weight_matrix(

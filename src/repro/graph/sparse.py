@@ -41,11 +41,8 @@ from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
 
 from repro.errors import PathError
 from repro.graph.contact_graph import ContactGraph
-from repro.graph.paths import PathMode
-from repro.mathutils.hypoexponential import (
-    hypoexponential_cdf_batch,
-    path_delivery_probability,
-)
+from repro.graph.paths import PathMode, _path_weights
+from repro.mathutils.hypoexponential import path_delivery_probability
 from repro.obs.profile import active_profiler, maybe_span
 
 __all__ = ["KnnWeightRows", "knn_weight_rows", "knn_weight_matrix"]
@@ -110,7 +107,10 @@ def knn_weight_rows(
     """Eq. (2) weights from every node to its k nearest contacts.
 
     Runs one early-stopped sparse Dijkstra per source and scores all
-    settled paths in chunked :func:`hypoexponential_cdf_batch` calls.
+    settled paths, a chunk of sources at a time, with
+    :func:`repro.graph.paths._path_weights`, so a kept pair's weight is
+    bit for bit that of any path with the same hop rates in the exact
+    weight rows.
     Memory is O(N·k + E); never O(N²) at scale.  Graphs below
     :data:`_SCIPY_MAX_NODES` nodes get the same rows from one scipy
     sweep over all sources, whose scratch holds a few N×N arrays
@@ -143,11 +143,7 @@ def _knn_weight_rows(
         dest = dest[valid]
         rows = hop_rows[valid]
         if len(dest):
-            # Trim trailing all-zero hop columns (rows are left-aligned)
-            # before the batched Eq. (2) call.
-            hops = (rows > 0.0).sum(axis=1)
-            width = max(int(hops.max()), 1)
-            chunk_weights = hypoexponential_cdf_batch(rows[:, :width], time_budget)
+            chunk_weights = _path_weights(rows, time_budget)
             # Canonical CSR: destinations ascending within each source.
             src_of_row = np.repeat(sources - start, counts)
             order = np.argsort(src_of_row * np.int64(n + 1) + dest, kind="stable")
@@ -341,9 +337,9 @@ def knn_weight_matrix(
 ) -> np.ndarray:
     """Dense N×N matrix of the k-NN truncated weights (small-N helper).
 
-    With ``k >= N-1`` this equals the full
-    :func:`repro.graph.paths.shortest_path_weight_matrix` to oracle
-    tolerance — the truncation keeps everything.
+    With ``k >= N-1`` the truncation keeps everything, and this equals
+    the full :func:`repro.graph.paths.shortest_path_weight_matrix` bit
+    for bit wherever both tie rules keep the same trees.
     """
     return knn_weight_rows(graph, time_budget, k, mode).to_dense()
 

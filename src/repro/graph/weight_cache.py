@@ -1,12 +1,17 @@
 """Content-keyed LRU cache of path-weight computations.
 
 Every consumer of the contact graph — NCL selection (Eq. 3), the
-push/pull gradient routers, response strategies, and time-budget
-calibration — reduces to the same two sweeps: a single-source path-weight
-vector at a time budget T, or the hop-rate rows of the shortest
-opportunistic paths from a source (:class:`repro.graph.paths.HopRows`).
-Both come from one walk of the scipy Dijkstra predecessor rows
-(:func:`repro.graph.paths._hop_walk`), as does the all-pairs matrix.
+push/pull gradient routers and response strategies — reduces to the
+same two sweeps: a single-source path-weight vector at a time budget
+T, or the hop-rate rows of the shortest opportunistic paths from a
+source (:class:`repro.graph.paths.HopRows`).  Both come from one walk of
+the scipy Dijkstra predecessor rows
+(:func:`repro.graph.paths._hop_walk`), as does the all-pairs matrix,
+and every expected-delay weight is scored from its path's sorted hop
+rates
+(:func:`repro.graph.paths._path_weights`).  So a weight vector is the
+same bytes whether it was swept on its own, with other sources, or read
+as a row of the all-pairs matrix.
 
 This module gives all of them one shared, bounded cache.  On dense
 graphs warm-up's all-pairs matrix is one entry, and a single-source
@@ -161,7 +166,8 @@ class PathWeightCache:
         one exists for the same graph, budget and mode; otherwise cached
         single-source entries are served as they are and the missing
         ones are computed together in one
-        :func:`shortest_path_weight_rows` sweep.  Counters are per
+        :func:`shortest_path_weight_rows` sweep.  Either way a vector
+        has the same bytes.  Counters are per
         vector: one hit per vector served from the cache, one miss per
         distinct vector computed.
         """
@@ -267,8 +273,8 @@ class PathWeightCache:
         """Cached :func:`hop_rate_tuples_from` (read-only arrays).
 
         In expected-delay mode the rows are independent of the budget,
-        so the key collapses it; calibration probes at many budgets then
-        hit one entry.
+        so the key collapses it; path-aware responses at many remaining
+        budgets then hit one entry.
         """
         prof = active_profiler()
         if prof.enabled:

@@ -275,7 +275,9 @@ def hypoexponential_cdf_batch(
         1e-10 (property-tested).  The closed form (Eq. 2) is evaluated in
         one vectorized sweep; rows that :func:`_closed_form_trusted`
         rejects fall back to the matrix exponential, one stacked
-        :func:`scipy.linalg.expm` call per hop count.
+        :func:`scipy.linalg.expm` call per hop count.  A row's value
+        depends only on its nonzero rates in column order: not on where
+        or how much it is padded, nor on the other rows.
     """
     padded = pad_rate_rows(rate_rows)
     if padded.ndim != 2:
@@ -329,13 +331,16 @@ def _cdf_rows(padded: np.ndarray, times: np.ndarray) -> np.ndarray:
     mask = valid[live]
     tt = times[live][:, None]
 
-    # Eq. (2) closed form, batched.
+    # Eq. (2) closed form, batched.  The row sums run column by column
+    # (a cumulative sum), where padding adds exact zeros wherever it
+    # sits, so a row's value does not depend on its padding; numpy's
+    # pairwise row sum groups terms by row width.
     coeff = _closed_form_coeff_batch(rates, mask)
     with np.errstate(invalid="ignore", over="ignore"):
         # Single-rate rows: the closed form degenerates to exactly 1 − e^{-λt}.
         terms = coeff * -np.expm1(-rates * tt)
-        closed = np.where(mask, terms, 0.0).sum(axis=1)
-        abs_coeff_sum = np.where(mask, np.abs(coeff), 0.0).sum(axis=1)
+        closed = np.where(mask, terms, 0.0).cumsum(axis=1)[:, -1]
+        abs_coeff_sum = np.where(mask, np.abs(coeff), 0.0).cumsum(axis=1)[:, -1]
         ok = _closed_form_trusted(abs_coeff_sum, lengths[live])
     values = np.clip(closed, 0.0, 1.0)
     if not ok.all():

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.caching.intentional import IntentionalCaching, IntentionalConfig
+from repro.caching.nocache import NoCache
 from repro.errors import ConfigurationError
 from repro.sim.bundles import PushBundle, QueryBundle, ResponseBundle
 from repro.units import HOUR, MEGABIT
@@ -170,22 +171,39 @@ class TestPull:
         harness.contact(2, 0, now=5.0)
         assert harness.nodes[0].popularity.request_count(7) == 1
 
-    def test_router_not_asked_for_a_query_the_peer_has_seen(
-        self, hub_spoke_graph, monkeypatch
+    @pytest.mark.parametrize("kind", ["query", "push", "incidental_query", "response"])
+    def test_router_not_asked_for_a_bundle_the_peer_has_seen(
+        self, hub_spoke_graph, monkeypatch, kind
     ):
-        """A peer that already holds a query bundle gets no copy, so the
-        query router is not asked to decide one (nor traces a decision)."""
-        harness = SchemeHarness(make_scheme(k=1), hub_spoke_graph)
-        harness.add_query(make_query(query_id=1, requester=2, data_id=7, created_at=0.0))
-        (bundle,) = [b for b in harness.nodes[2].bundles if isinstance(b, QueryBundle)]
-        harness.nodes[3].store_bundle(bundle)
-        router = harness.scheme._query_router
+        """A peer that already holds a bundle gets no copy, so no router
+        is asked to decide one (nor traces a decision): the intentional
+        scheme's queries and pushes, the baselines' queries, responses."""
+        scheme = NoCache() if kind in ("incidental_query", "response") else make_scheme(k=1)
+        harness = SchemeHarness(scheme, hub_spoke_graph)
+        item = make_item(data_id=7, source=1, size=10 * MEGABIT)
+        harness.add_data(item)
+        if kind == "push":
+            router, carrier = scheme._push_router, 1
+            (bundle,) = [b for b in harness.nodes[1].bundles if isinstance(b, PushBundle)]
+        elif kind == "response":
+            router, carrier = scheme._response_router, 1
+            query = make_query(query_id=1, requester=4, data_id=7, created_at=0.0)
+            harness.metrics.on_query_created(query)
+            bundle = ResponseBundle(
+                created_at=0.0, expires_at=query.expires_at, data=item, query=query
+            )
+            harness.nodes[1].store_bundle(bundle)
+        else:
+            router, carrier = scheme._query_router, 2
+            harness.add_query(make_query(query_id=1, requester=2, data_id=7, created_at=0.0))
+            (bundle,) = [b for b in harness.nodes[2].bundles if isinstance(b, QueryBundle)]
+        harness.nodes[0].store_bundle(bundle)
         asked = []
         decide = router.decide
         monkeypatch.setattr(
             router, "decide", lambda *args: asked.append(args) or decide(*args)
         )
-        harness.contact(2, 3, now=5.0)
+        harness.contact(carrier, 0, now=5.0)
         assert asked == []
 
     def test_push_pull_conjunction(self, hub_spoke_graph):

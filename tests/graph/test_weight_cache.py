@@ -139,7 +139,6 @@ class TestPathWeightCache:
         assert first is second
         assert first.path_rates(3).tolist() == [1.0, 0.5, 0.25]
         assert first.path_rates(0).tolist() == []
-        assert first.order.tolist() == [1, 2, 3]
         assert not any(array.flags.writeable for array in first)
 
     def test_rate_tuples_budget_keyed_in_max_probability_mode(self, graph):

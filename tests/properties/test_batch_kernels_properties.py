@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from scipy.sparse.csgraph import dijkstra
 
-from repro.core.ncl import _reference_ncl_metrics, ncl_metrics
+from repro.core.ncl import _reference_ncl_metrics, ncl_metric, ncl_metrics
 from repro.graph import paths
 from repro.graph.contact_graph import ContactGraph
 from repro.graph.paths import (
@@ -23,6 +23,7 @@ from repro.graph.paths import (
     shortest_path_weight_rows,
     shortest_path_weights_from,
 )
+from repro.graph.weight_cache import PathWeightCache, shared_weight_cache
 from repro.mathutils import hypoexponential
 from repro.mathutils.hypoexponential import (
     hypoexponential_cdf,
@@ -138,6 +139,24 @@ def test_batch_dedup_is_invisible(batch):
     assert deduped.tobytes() == whole.tobytes()
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    rows=rate_rows_with_near_duplicates(),
+    lead=st.lists(st.integers(min_value=0, max_value=12), min_size=12, max_size=12),
+    t=st.floats(min_value=0.0, max_value=1e4),
+)
+def test_batch_rows_ignore_their_padding(rows, lead, t):
+    """Up to twelve zeros in front of each row, and trailing zeros to a
+    common width of up to 18 columns (where numpy's row sum would go
+    pairwise), move no bit of any row."""
+    width = max(len(row) + pad for row, pad in zip(rows, lead))
+    shifted = np.zeros((len(rows), width))
+    for i, (row, pad) in enumerate(zip(rows, lead)):
+        shifted[i, pad : pad + len(row)] = row
+    plain = hypoexponential_cdf_batch(rows, t)
+    assert hypoexponential_cdf_batch(shifted, t).tobytes() == plain.tobytes()
+
+
 def _random_graph(num_nodes: int, edge_probability: float, seed: int) -> ContactGraph:
     rng = np.random.default_rng(seed)
     rates = np.zeros((num_nodes, num_nodes))
@@ -159,9 +178,8 @@ def test_scipy_ncl_metrics_match_reference(num_nodes, edge_probability, seed, bu
     """The acceptance oracle: vectorized Eq. (3) == pure-Python Eq. (3)
     on random graphs, including disconnected ones.
 
-    Tolerance note: the vectorized matrix evaluates each unordered pair
-    once (p_ij = p_ji) while the reference sweeps every source row, so
-    half the pairs are compared across *reversed* hop orders.  Near the
+    Tolerance note: the vectorized matrix scores each path from its
+    sorted rates while the reference scores it in hop order.  Near the
     closed form's separation threshold (adjacent rates within ~1e-6
     relative) its coefficients are large and cancelling, and either
     evaluation order carries a genuine ~1e-8 absolute error against the
@@ -202,8 +220,8 @@ def test_weight_matrix_rows_are_single_source_sweeps(num_nodes, edge_probability
     assert matrix.shape == (num_nodes, num_nodes)
     np.testing.assert_allclose(matrix, matrix.T, atol=1e-12)
     for source in range(num_nodes):
-        # 1e-7, not 1e-9: rows mix pairs evaluated in both hop orders
-        # (see the tolerance note on the NCL oracle test above).
+        # 1e-7, not 1e-9: sorted rates against hop order (see the
+        # tolerance note on the NCL oracle test above).
         np.testing.assert_allclose(
             matrix[source],
             _reference_shortest_path_weights_from(graph, source, budget),
@@ -260,12 +278,11 @@ def _python_walk(graph: ContactGraph, source: int):
 
 
 def _single_source_sweep(graph: ContactGraph, source: int, budget: float) -> np.ndarray:
-    """One source on its own: hop-rate tuples into one Eq. (2) batch,
-    padded to that source's longest path."""
-    tuples = _python_walk(graph, source)
+    """One source on its own, each path scored alone: its hop-rate tuple,
+    sorted, as a one-row Eq. (2) batch."""
     weights = np.zeros(graph.num_nodes)
-    nodes = list(tuples)
-    weights[nodes] = hypoexponential_cdf_batch([tuples[n] for n in nodes], budget)
+    for node, rates in _python_walk(graph, source).items():
+        weights[node] = hypoexponential_cdf_batch([sorted(rates)], budget)[0]
     return weights
 
 
@@ -281,10 +298,10 @@ def _assert_rows_are_single_source_sweeps(graph, sources, budget):
 @st.composite
 def weight_row_cases(draw):
     """Random graphs in either storage mode, with optional path backbone
-    (so sources at its ends grow deeper trees than those in the middle,
-    and pad widths differ) and optionally quantised rates (so batches
-    repeat hop tuples and cross the Eq. 2 dedup threshold), plus a
-    source list that may repeat sources."""
+    (so sources at its ends grow deeper trees than those in the middle)
+    and optionally quantised rates (so batches repeat hop tuples and
+    cross the Eq. 2 dedup threshold), plus a source list that may repeat
+    sources."""
     num_nodes = draw(st.integers(min_value=2, max_value=40))
     rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**16)))
     edge_probability = draw(st.floats(min_value=0.0, max_value=0.5))
@@ -311,22 +328,20 @@ def test_weight_rows_are_byte_identical_to_single_source_sweeps(case):
     _assert_rows_are_single_source_sweeps(*case)
 
 
-def _padded(rate_rows, width: int, right: bool = False) -> np.ndarray:
-    """Rate tuples zero-padded to *width*, on the right or on the left."""
+def _padded(rate_rows, width: int) -> np.ndarray:
+    """Rate tuples zero-padded on the right to *width*."""
     out = np.zeros((len(rate_rows), width))
     for i, rates in enumerate(rate_rows):
-        start = width - len(rates) if right else 0
-        out[i, start : start + len(rates)] = rates
+        out[i, : len(rates)] = rates
     return out
 
 
 @settings(max_examples=60, deadline=None)
 @given(case=weight_row_cases())
 def test_hop_walk_rows_match_a_per_node_python_walk(case):
-    """The vectorized walk rebuilds every path's hop rates byte for byte
-    in each layout: a source's :class:`HopRows` (left-aligned, settle
-    order), the sweeps' left-aligned rows, and the all-pairs matrix's
-    right-aligned rows."""
+    """The vectorized walk rebuilds every path's hop rates byte for byte:
+    a source's :class:`HopRows` (left-aligned), and the walk's own rows
+    from the destination back to the source."""
     graph, sources, budget = case
     for source in sources:
         tuples = _python_walk(graph, source)
@@ -337,7 +352,6 @@ def test_hop_walk_rows_match_a_per_node_python_walk(case):
         assert rows.hops.tolist() == [
             len(tuples[node]) if node in tuples else -1 for node in range(graph.num_nodes)
         ]
-        assert rows.order.tolist() == list(tuples)[1:]
     dist, pred = paths._expected_delay_dijkstra(graph, sources)
     row_ids, nodes = np.nonzero(np.isfinite(dist))
     back, hops = paths._hop_walk(graph, pred, row_ids, nodes)
@@ -345,8 +359,52 @@ def test_hop_walk_rows_match_a_per_node_python_walk(case):
     assert hops.tolist() == [len(rates) for rates in want]
     width = max(1, max(hops))
     assert paths._left_aligned(back, hops).tobytes() == _padded(want, width).tobytes()
-    right = np.ascontiguousarray(back[:, ::-1])
-    assert right.tobytes() == _padded(want, width, right=True).tobytes()
+    backward = [rates[::-1] for rates in want]
+    assert back.tobytes() == _padded(backward, width).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=weight_row_cases())
+def test_weight_matrix_is_the_all_source_rows(case):
+    """Row i of the all-pairs matrix is source i's own sweep, byte for
+    byte: each row follows its own source's tree and scores each path
+    from its sorted rates alone."""
+    graph, _, budget = case
+    n = graph.num_nodes
+    matrix = shortest_path_weight_matrix(graph, budget)
+    assert matrix.tobytes() == shortest_path_weight_rows(graph, range(n), budget).tobytes()
+    for source in range(n):
+        assert matrix[source].tobytes() == _single_source_sweep(graph, source, budget).tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=weight_row_cases())
+def test_cached_rows_do_not_depend_on_a_cached_matrix(case):
+    """A cache holding the all-pairs matrix serves its rows; one without
+    it sweeps: the vectors are the same bytes either way."""
+    graph, sources, budget = case
+    swept = PathWeightCache().weight_rows(graph, sources, budget)
+    cache = PathWeightCache()
+    cache.weight_matrix(graph, budget)
+    served = cache.weight_rows(graph, sources, budget)
+    assert cache.misses == 1  # the matrix; every row was a hit
+    assert [row.tobytes() for row in served] == [row.tobytes() for row in swept]
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=weight_row_cases())
+def test_ncl_metric_is_its_entry_of_ncl_metrics(case):
+    """One node's Eq. (3) metric from a lone sweep equals its entry of
+    the all-node metric vector bit for bit (dense storage: sparse graphs
+    rank by the k-NN metric)."""
+    graph, _, budget = case
+    graph = ContactGraph(graph.num_nodes, graph.edges(), sparse=False)
+    shared_weight_cache().clear()
+    metrics = ncl_metrics(graph, budget)
+    for node in range(graph.num_nodes):
+        shared_weight_cache().clear()
+        assert ncl_metric(graph, node, budget) == metrics[node]
+    shared_weight_cache().clear()
 
 
 def _chain(sparse: bool) -> ContactGraph:
@@ -361,30 +419,26 @@ def _chain(sparse: bool) -> ContactGraph:
 CHAIN_SOURCES = [0, 6, 12, 0, 3, 12, 0]
 
 
-def test_weight_rows_mix_pad_widths_and_cross_the_dedup_threshold():
-    """A 6-hop row summed at width 6 and at width 12 can differ in the
-    last ulp (numpy sums eight or more terms pairwise), so this fails if
-    rows of different widths share a batch.  The width-12 group is 65
-    rows, past the Eq. 2 dedup threshold that no single 13-row sweep
-    reaches."""
+def test_rows_ignore_padding_and_the_dedup_threshold():
+    """Ten copies of the chain sources make one 910-row batch, past the
+    Eq. 2 dedup threshold that no lone 13-row sweep reaches, in which the
+    6-hop tree of source 6 is padded to the 12 hops of source 0's; a
+    lone sweep from 6 pads it to 6.  Rows of eight or more hops sum
+    pairwise under numpy's row sum, so a padding-dependent sum shows."""
     for sparse in (False, True):
-        _assert_rows_are_single_source_sweeps(_chain(sparse), CHAIN_SOURCES, 30.0)
+        _assert_rows_are_single_source_sweeps(_chain(sparse), CHAIN_SOURCES * 10, 30.0)
 
 
-def test_weight_matrix_scores_right_aligned_rows():
-    """The all-pairs matrix scores each upper-triangle pair on its
-    source's tree, every row right-aligned at one width.  Rows of eight
-    or more hops sum pairwise by position, so another layout shows in
-    the last bits."""
+def test_weight_matrix_scores_sorted_rows():
+    """Every cell of the all-pairs matrix is its path scored alone from
+    its sorted rates, so the chain's matrix, whose paths run both ways,
+    is symmetric bit for bit."""
     for sparse in (False, True):
         graph = _chain(sparse)
-        n = graph.num_nodes
-        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-        tuples = [_python_walk(graph, i)[j] for i, j in pairs]
-        width = max(len(rates) for rates in tuples)
-        want = hypoexponential_cdf_batch(_padded(tuples, width, right=True), 30.0)
         matrix = shortest_path_weight_matrix(graph, 30.0)
-        assert matrix[tuple(zip(*pairs))].tobytes() == want.tobytes()
+        want = [_single_source_sweep(graph, i, 30.0) for i in range(graph.num_nodes)]
+        assert matrix.tobytes() == np.vstack(want).tobytes()
+        assert matrix.tobytes() == np.ascontiguousarray(matrix.T).tobytes()
 
 
 def test_weight_rows_do_not_depend_on_source_chunking(monkeypatch):

@@ -29,6 +29,7 @@ from repro.core.ncl import (
     ncl_metrics,
     sparse_ncl_metrics,
 )
+from repro.graph import sparse as sparse_module
 from repro.graph.contact_graph import ContactGraph
 from repro.graph.paths import shortest_path_weight_matrix
 from repro.graph.sparse import (
@@ -135,6 +136,33 @@ def test_full_k_recovers_dense_weight_matrix(contacts_per_node):
     dense = shortest_path_weight_matrix(graph, 1 * WEEK)
     truncated = knn_weight_matrix(graph, 1 * WEEK, n - 1)
     np.testing.assert_allclose(truncated, dense, atol=1e-9, rtol=0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(min_value=2, max_value=30),
+    edge_probability=st.floats(min_value=0.05, max_value=0.6),
+    seed=st.integers(min_value=0, max_value=2**16),
+    heap=st.booleans(),
+)
+def test_full_k_rows_are_the_weight_matrix_bit_for_bit(n, edge_probability, seed, heap):
+    """With continuous rates no two paths tie, so the heap's tree is
+    scipy's, and every path is scored from its sorted rates in both
+    kernels: at k = N−1 the k-NN rows are the matrix, byte for byte,
+    from either k-NN core."""
+    rng = np.random.default_rng(seed)
+    edges = [
+        (i, j, float(rng.uniform(1e-6, 1e-2)))
+        for i in range(n)
+        for j in range(i + 1, n)
+        if rng.random() < edge_probability
+    ]
+    graph = ContactGraph(n, edges)
+    with pytest.MonkeyPatch.context() as patch:
+        if heap:
+            patch.setattr(sparse_module, "_SCIPY_MAX_NODES", 0)
+        truncated = knn_weight_matrix(graph, 6 * HOUR, n - 1)
+    assert truncated.tobytes() == shortest_path_weight_matrix(graph, 6 * HOUR).tobytes()
 
 
 @pytest.mark.parametrize("contacts_per_node", [6, 25, 120])
