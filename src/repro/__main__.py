@@ -602,8 +602,8 @@ def build_parser() -> argparse.ArgumentParser:
             "--sparse",
             action=argparse.BooleanOptionalAction,
             default=None,
-            help="force adjacency-list (--sparse) or dense (--no-sparse) "
-            "contact-graph storage; default auto-selects by node count",
+            help="force (--sparse) or forbid (--no-sparse) the k-NN NCL "
+            "metric of sparse contact graphs; default: sparse at >= 2048 nodes",
         )
         p.add_argument(
             "--knn-k",

@@ -49,7 +49,7 @@ class BundleCache(IncidentalScheme):
 
     def on_graph_updated(self, graph: ContactGraph, now: float) -> None:
         super().on_graph_updated(graph, now)
-        rates = graph.aggregate_rates()  # CSR-based, never N×N
+        rates = graph.aggregate_rates()
         self._aggregate_rates = rates
         positive = rates[rates > 0]
         if positive.size:

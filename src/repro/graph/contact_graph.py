@@ -6,29 +6,28 @@ source of truth for every path-weight and NCL-metric computation.
 
 A graph is a value: it is built once from its edge triples and never
 changes.  Each refresh of the rate estimates (Sec. III-B, VI-A) builds a
-new snapshot, so every derived view — the CSR arrays, the adjacency
-tuples, the dense view and the content fingerprint — is computed at most
-once per graph and never goes stale.
+new snapshot, so every derived view — the neighbour tuples, the
+aggregate rates and the content fingerprint — is computed at most once
+per graph and never goes stale.
 
-Storage is dual-mode.  At the paper's scales (41–275 nodes) a dense
-symmetric rate matrix is the right trade-off and keeps every historical
-code path (and its bitwise-pinned results) unchanged.  Above
-:data:`DENSE_NODE_THRESHOLD` nodes — or when forced with ``sparse=True``
-— the graph stores adjacency dictionaries instead and never allocates
-N×N: real DTN contact graphs are sparse (most pairs rarely or never
-meet), and the 10⁵-node scale-out target makes a dense matrix (80 GB at
-float64) a non-starter.  Both modes expose the same API; the dense
-:attr:`~ContactGraph.rates` view stays available on sparse graphs up to
-the threshold so small forced-sparse graphs remain comparable against
-the dense oracles in tests.
+A graph *is* its symmetric rate table in CSR form: the read-only arrays
+``(indptr, indices, data)`` that :meth:`ContactGraph.csr_rates` returns,
+built straight from the edge triples in O(edges).  Real DTN contact
+graphs are sparse (most pairs rarely or never meet), and the 10⁵-node
+scale-out target rules out an N×N matrix (80 GB at float64), so no
+storage grows with N².  The dense :attr:`~ContactGraph.rates` matrix is
+a view for small graphs only, refused above :data:`DENSE_NODE_THRESHOLD`
+nodes.
 """
 
 from __future__ import annotations
 
 import hashlib
+from bisect import bisect_left
 from functools import cached_property
+from math import inf
 from operator import index
-from typing import Dict, Iterable, Iterator, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -37,10 +36,10 @@ from repro.traces.contact import ContactTrace
 
 __all__ = ["ContactGraph", "DENSE_NODE_THRESHOLD"]
 
-#: Node count at which auto storage selection switches to sparse
-#: adjacency.  Below it a dense N×N matrix is both faster and exactly
-#: the historical representation; above it the matrix alone would dwarf
-#: every other allocation of a run.
+#: Node count at which a graph built with ``sparse=None`` routes NCL
+#: selection to the k-NN metric, and above which :attr:`ContactGraph.rates`
+#: refuses to materialise N×N: the matrix alone would dwarf every other
+#: allocation of a run.
 DENSE_NODE_THRESHOLD = 2048
 
 
@@ -63,13 +62,14 @@ class ContactGraph:
         ``(i, j, rate)`` triples.  Each triple sets both directions of
         the pair, so the graph is symmetric by construction; a later
         triple of the same pair (in either orientation) overrides an
-        earlier one, and a zero rate leaves the pair unconnected.  Only
-        the listed pairs are touched, so a 10⁵-node graph costs
-        O(edges), not O(N²).
+        earlier one, and a zero rate leaves the pair unconnected.  Every
+        rate must be finite and non-negative.  Only the listed pairs are
+        touched, so a 10⁵-node graph costs O(edges), not O(N²).
     sparse:
-        ``True`` forces adjacency-dict storage, ``False`` forces the
-        dense matrix, ``None`` (default) picks dense below
-        :data:`DENSE_NODE_THRESHOLD` nodes and sparse at or above it.
+        Whether NCL selection on this graph takes the k-NN truncated
+        metric (:attr:`is_sparse`): ``True``/``False`` force it,
+        ``None`` (default) picks it at :data:`DENSE_NODE_THRESHOLD`
+        nodes and above.  Storage is the same either way.
     """
 
     def __init__(
@@ -94,32 +94,33 @@ class ContactGraph:
                 ) from None
             if i == j:
                 raise ConfigurationError("no self-loop contact rates")
-            if rate < 0:
-                raise ConfigurationError("contact rates must be non-negative")
+            if not 0 <= rate < inf:
+                raise ConfigurationError(
+                    f"contact rates must be finite and non-negative, got {rate!r}"
+                )
             if not (0 <= i < n and 0 <= j < n):
                 raise ConfigurationError(f"node ids out of range: ({i}, {j})")
             pairs[i * n + j if i < j else j * n + i] = rate
-        self._adj: Dict[int, Dict[int, float]] = {}
-        self._rates: Optional[np.ndarray] = None
-        if self._sparse:
-            for cell, rate in pairs.items():
-                if rate > 0:
-                    i, j = divmod(cell, n)
-                    self._adj.setdefault(i, {})[j] = float(rate)
-                    self._adj.setdefault(j, {})[i] = float(rate)
-        else:
-            rates = np.zeros((n, n))
-            if pairs:
-                cells = np.fromiter(pairs, dtype=np.int64, count=len(pairs))
-                ii, jj = np.divmod(cells, n)
-                values = np.fromiter(pairs.values(), dtype=float, count=len(pairs))
-                rates[ii, jj] = values
-                rates[jj, ii] = values
-            # Read-only from construction: the path-weight cache keys on
-            # the content fingerprint, which must describe the graph for
-            # its whole life.
-            rates.flags.writeable = False
-            self._rates = rates
+        cells = np.fromiter(pairs, dtype=np.int64, count=len(pairs))
+        values = np.fromiter(pairs.values(), dtype=np.float64, count=len(pairs))
+        positive = values > 0
+        cells, values = cells[positive], values[positive]
+        ii, jj = np.divmod(cells, n)
+        # Both directions of every edge, sorted by flat cell (all
+        # distinct): rows ascending, and columns ascending within a row.
+        flat = np.concatenate((cells, jj * n + ii))
+        order = np.argsort(flat, kind="stable")
+        flat = flat[order]
+        first_cells = np.arange(n + 1, dtype=np.int64) * n
+        indptr = np.searchsorted(flat, first_cells).astype(np.int64, copy=False)
+        indices = flat % n
+        data = np.concatenate((values, values))[order]
+        # Read-only from construction: the path-weight cache keys on
+        # the content fingerprint, which must describe the graph for
+        # its whole life.
+        for array in (indptr, indices, data):
+            array.flags.writeable = False
+        self._csr = indptr, indices, data
 
     # --- construction ------------------------------------------------------
 
@@ -127,7 +128,7 @@ class ContactGraph:
     def from_rate_matrix(
         cls, rates: np.ndarray, sparse: Optional[bool] = None
     ) -> "ContactGraph":
-        """Build from a symmetric non-negative rate matrix.
+        """Build from a symmetric, finite, non-negative rate matrix.
 
         Symmetry is exact: a matrix whose two triangles differ anywhere,
         by however little, is refused.  The graph is built from the
@@ -137,8 +138,8 @@ class ContactGraph:
         rates = np.asarray(rates, dtype=float)
         if rates.ndim != 2 or rates.shape[0] != rates.shape[1]:
             raise ConfigurationError(f"rate matrix must be square, got {rates.shape}")
-        if (rates < 0).any():
-            raise ConfigurationError("contact rates must be non-negative")
+        if not ((rates >= 0) & (rates < np.inf)).all():
+            raise ConfigurationError("contact rates must be finite and non-negative")
         if not np.array_equal(rates, rates.T):
             raise ConfigurationError("rate matrix must be symmetric")
         ii, jj = np.nonzero(np.triu(rates, k=1))
@@ -180,19 +181,19 @@ class ContactGraph:
 
     @property
     def is_sparse(self) -> bool:
-        """Whether this graph uses adjacency-dict (CSR-view) storage."""
+        """Whether NCL selection on this graph takes the k-NN truncated
+        metric (the ``sparse`` argument, or N ≥ :data:`DENSE_NODE_THRESHOLD`)."""
         return self._sparse
 
     def fingerprint(self) -> bytes:
         """Content digest of the rates (computed once).
 
-        Two graphs of the same storage mode with identical rates share a
-        fingerprint, which is what the path-weight cache keys on: two
-        snapshots built at the same simulated instant (a churn-triggered
-        GRAPH_REFRESH landing on a periodic one, or the runs of several
-        schemes over one trace) are distinct instances with the same
-        rates.  Dense graphs hash the matrix bytes; sparse graphs hash
-        the CSR arrays — O(edges), never O(N²).
+        Two graphs with identical rates share a fingerprint, which is
+        what the path-weight cache keys on: two snapshots built at the
+        same simulated instant (a churn-triggered GRAPH_REFRESH landing
+        on a periodic one, or the runs of several schemes over one
+        trace) are distinct instances with the same rates.  It hashes
+        the node count and the CSR arrays — O(edges), never O(N²).
         """
         return self._fingerprint
 
@@ -200,108 +201,71 @@ class ContactGraph:
     def _fingerprint(self) -> bytes:
         digest = hashlib.blake2b(digest_size=16)
         digest.update(self._num_nodes.to_bytes(8, "little"))
-        if self._sparse:
-            indptr, indices, data = self.csr_rates()
-            digest.update(b"coo")
-            digest.update(np.ascontiguousarray(indptr).tobytes())
-            digest.update(np.ascontiguousarray(indices).tobytes())
-            digest.update(np.ascontiguousarray(data).tobytes())
-        else:
-            digest.update(np.ascontiguousarray(self._rates).tobytes())
+        for array in self._csr:
+            digest.update(array.tobytes())
         return digest.digest()
 
     def rate(self, i: int, j: int) -> float:
         """λᵢⱼ; zero when the pair has never been observed in contact."""
-        if self._sparse:
-            return self._adj.get(int(i), {}).get(int(j), 0.0)
-        assert self._rates is not None
-        return float(self._rates[i, j])
+        row = self._adjacency[i]
+        k = bisect_left(row, j)
+        if k < len(row) and row[k] == j:
+            return self._csr[2].item(self._row_start[i] + k)
+        return 0.0
 
     @property
     def rates(self) -> np.ndarray:
-        """Read-only view of the symmetric rate matrix (zero-copy on
-        dense graphs).
+        """Read-only view of the symmetric rate matrix, for small graphs.
 
-        Writes (``graph.rates[i, j] = x``) raise ``ValueError``, and the
-        view cannot be made writeable.  Sparse graphs materialise the
-        matrix once, and refuse to above the dense threshold — that
-        allocation is exactly what sparse storage exists to avoid — so
-        consumers of large graphs must go through :meth:`csr_rates`.
+        Built from the CSR arrays on first use.  Writes
+        (``graph.rates[i, j] = x``) raise ``ValueError``, and the view
+        cannot be made writeable.  Refused above
+        :data:`DENSE_NODE_THRESHOLD` nodes — consumers of large graphs
+        go through :meth:`csr_rates`.
         """
-        if not self._sparse:
-            assert self._rates is not None
-            return self._rates.view()
         if self._num_nodes > DENSE_NODE_THRESHOLD:
             raise ConfigurationError(
                 f"refusing to materialise a dense {self._num_nodes}x"
-                f"{self._num_nodes} matrix from a sparse graph; use "
-                "csr_rates()/neighbors() instead"
+                f"{self._num_nodes} matrix; use csr_rates()/neighbors() instead"
             )
         return self._dense_view.view()
 
     @cached_property
     def _dense_view(self) -> np.ndarray:
+        indptr, indices, data = self._csr
         dense = np.zeros((self._num_nodes, self._num_nodes))
-        for i, row in self._adj.items():
-            for j, rate in row.items():
-                dense[i, j] = rate
+        dense[np.repeat(np.arange(self._num_nodes), np.diff(indptr)), indices] = data
         dense.flags.writeable = False
         return dense
 
     def aggregate_rates(self) -> np.ndarray:
         """Per-node sum of incident contact rates (social hubness).
 
-        Computed from the CSR structure, so it works in both storage
-        modes without materialising N×N — and because both modes emit
-        identical CSR entries in identical order, the sums are bitwise
-        independent of the storage choice.
+        One reduction over the CSR rows, computed once per graph and
+        returned read-only.
         """
-        indptr, _indices, data = self.csr_rates()
+        return self._aggregate
+
+    @cached_property
+    def _aggregate(self) -> np.ndarray:
+        indptr, _indices, data = self._csr
         aggregate = np.zeros(self._num_nodes)
         if data.size:
             nonempty = np.diff(indptr) > 0
             aggregate[nonempty] = np.add.reduceat(data, indptr[:-1][nonempty])
+        aggregate.flags.writeable = False
         return aggregate
 
     def csr_rates(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The symmetric rate structure as CSR arrays ``(indptr, indices,
-        data)``.
+        """The symmetric rate structure as read-only CSR arrays
+        ``(indptr, indices, data)`` — the graph's own storage.
 
-        Column indices are ascending within each row — the same neighbor
-        order :meth:`neighbors` reports and the reference Dijkstra
-        iterates, so sparse sweeps relax edges in exactly the oracle's
-        order.  Computed once and read-only; works in both storage modes
-        (dense graphs build it from the matrix).
+        Only positive rates are stored.  Column indices are ascending
+        within each row — the same neighbor order :meth:`neighbors`
+        reports and the reference Dijkstra iterates, so sparse sweeps
+        relax edges in exactly the oracle's order.
         """
         return self._csr
-
-    @cached_property
-    def _csr(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        n = self._num_nodes
-        if self._sparse:
-            counts = np.zeros(n + 1, dtype=np.int64)
-            for i, row in self._adj.items():
-                counts[i + 1] = len(row)
-            indptr = np.cumsum(counts)
-            total = int(indptr[-1])
-            indices = np.empty(total, dtype=np.int64)
-            data = np.empty(total, dtype=np.float64)
-            for i, row in self._adj.items():
-                start = indptr[i]
-                for offset, j in enumerate(sorted(row)):
-                    indices[start + offset] = j
-                    data[start + offset] = row[j]
-        else:
-            assert self._rates is not None
-            rows, cols = np.nonzero(self._rates)
-            indptr = np.zeros(n + 1, dtype=np.int64)
-            np.add.at(indptr, rows + 1, 1)
-            indptr = np.cumsum(indptr)
-            indices = cols.astype(np.int64)
-            data = self._rates[rows, cols].astype(np.float64)
-        for array in (indptr, indices, data):
-            array.flags.writeable = False
-        return indptr, indices, data
 
     def neighbors(self, i: int) -> Tuple[int, ...]:
         """Nodes with a positive contact rate to *i*, ascending.
@@ -314,40 +278,28 @@ class ContactGraph:
 
     @cached_property
     def _adjacency(self) -> Tuple[Tuple[int, ...], ...]:
-        if self._sparse:
-            return tuple(
-                tuple(sorted(self._adj.get(i, ()))) for i in range(self._num_nodes)
-            )
-        assert self._rates is not None
+        columns = self._csr[1].tolist()
+        bounds = self._row_start
         return tuple(
-            tuple(int(j) for j in np.nonzero(self._rates[i])[0])
-            for i in range(self._num_nodes)
+            tuple(columns[start:stop]) for start, stop in zip(bounds, bounds[1:])
         )
+
+    @cached_property
+    def _row_start(self) -> List[int]:
+        return self._csr[0].tolist()
 
     def edges(self) -> Iterator[Tuple[int, int, float]]:
         """All positive-rate edges as (i, j, λ) with i < j, ordered."""
-        if self._sparse:
-            for i in sorted(self._adj):
-                row = self._adj[i]
-                for j in sorted(row):
-                    if i < j:
-                        yield i, j, row[j]
-            return
-        assert self._rates is not None
-        rows, cols = np.nonzero(np.triu(self._rates, k=1))
-        for i, j in zip(rows, cols):
-            yield int(i), int(j), float(self._rates[i, j])
+        indptr, indices, data = self._csr
+        rows = np.repeat(np.arange(self._num_nodes), np.diff(indptr))
+        upper = rows < indices
+        return zip(rows[upper].tolist(), indices[upper].tolist(), data[upper].tolist())
 
     @property
     def num_edges(self) -> int:
-        if self._sparse:
-            return sum(len(row) for row in self._adj.values()) // 2
-        assert self._rates is not None
-        return int(np.count_nonzero(np.triu(self._rates, k=1)))
+        return self._csr[2].size // 2
 
     def degree(self, i: int) -> int:
-        if self._sparse:
-            return len(self._adj.get(int(i), ()))
         return len(self._adjacency[i])
 
     def mean_degree(self) -> float:
@@ -359,8 +311,7 @@ class ContactGraph:
         return 1.0 / rate if rate > 0 else float("inf")
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        mode = "sparse" if self._sparse else "dense"
         return (
             f"ContactGraph(nodes={self._num_nodes}, edges={self.num_edges}, "
-            f"storage={mode})"
+            f"sparse={self.is_sparse})"
         )

@@ -33,11 +33,9 @@ class OnlineContactGraphEstimator:
         Network start time; the denominator of every rate estimate is
         (now − origin).
     sparse:
-        Storage mode of the snapshot graphs, forwarded to
-        :class:`ContactGraph`: ``True``/``False`` force it, ``None``
-        (default) lets the graph auto-select by node count — dense
-        below the threshold (the historical representation), adjacency
-        lists above it.
+        The snapshot graphs' ``sparse`` flag (k-NN NCL metric),
+        forwarded to :class:`ContactGraph`: ``True``/``False`` force it,
+        ``None`` (default) lets the graph set it by node count.
     """
 
     def __init__(

@@ -238,13 +238,13 @@ def _expected_delay_dijkstra(
     Both outputs are 2D, one row per requested source (all nodes when
     *sources* is ``None``).  Zero-rate entries are non-edges.
 
-    Both storage modes hand scipy the CSR cost matrix built from
+    scipy gets the CSR cost matrix built from
     :meth:`ContactGraph.csr_rates`, never allocating N×N.  scipy turns a
     dense cost matrix into this same CSR before it searches (row-major,
-    ascending columns, zero means no edge), so for a dense graph the
-    result, scipy's tie-breaking included, is that of a search on the
-    dense 1/λ matrix, except that a rate in (0, 1e-300) costs its exact
-    1/λ rather than a cost clamped at 1e300.
+    ascending columns, zero means no edge), so the result, scipy's
+    tie-breaking included, is that of a search on the dense 1/λ matrix,
+    except that a rate in (0, 1e-300) costs its exact 1/λ rather than a
+    cost clamped at 1e300.
     """
     indptr, indices, data = graph.csr_rates()
     n = graph.num_nodes
@@ -267,8 +267,8 @@ def _hop_walk(
 
     The rate of every tree edge is read once from
     :meth:`ContactGraph.csr_rates`, found by one ``searchsorted`` over
-    the CSR keys ``row·N + column``, so both storage modes share the
-    walk and nothing N×N is allocated.  Then all pairs walk back toward
+    the CSR keys ``row·N + column``, so nothing N×N is allocated.  Then
+    all pairs walk back toward
     their sources together, one hop slot per step.  Returns
     ``(back, hops)``: ``back[i, c]`` is the rate of the c-th hop counted
     back from ``nodes[i]`` (zero past its source) and ``hops[i]`` is the

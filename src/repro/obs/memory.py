@@ -61,7 +61,7 @@ __all__ = [
 #: and demands (a) the simulator registers every name and (b) the test
 #: corpus cross-checks each against an ``oracle_nbytes_<name>`` oracle.
 SUBSYSTEMS = {
-    "contact_graph": "contact-graph storage (dense / adjacency / CSR caches) and the online rate-estimator state",
+    "contact_graph": "contact-graph CSR arrays and derived views, and the online rate-estimator state",
     "nodes": "per-node state: cache buffers, own data, popularity tables, bundle routing state",
     "scheme": "caching-scheme state: NCL selection, routers, response strategy",
     "weight_cache": "shared PathWeightCache array payloads (path-weight memo)",

@@ -49,14 +49,12 @@ class RateGradientRouter(ObservableRouter):
         if graph is self._graph:
             return
         self._graph = graph
-        # CSR-based: identical in both storage modes, never N×N.
         self._aggregate = graph.aggregate_rates()
         max_aggregate = float(self._aggregate.max()) if self._aggregate.size else 0.0
         # Scale hubness scores into (0, smallest positive direct rate):
         # any node with direct history always outranks any node without.
         _indptr, _indices, data = graph.csr_rates()
-        positive = data[data > 0]
-        floor = float(positive.min()) if positive.size else 1.0
+        floor = float(data.min()) if data.size else 1.0
         self._hub_scale = (floor / (max_aggregate + 1.0)) * 0.5 if max_aggregate > 0 else 0.0
 
     def score(self, node: int, destination: int, graph: ContactGraph) -> float:

@@ -106,8 +106,8 @@ class RunSpec:
     profile: bool = False
     timeseries: bool = False
     validate_invariants: bool = False
-    #: contact-graph storage: True/False force adjacency-list/dense,
-    #: ``None`` auto-selects by node count (the scale-out path)
+    #: the contact graph's ``sparse`` flag (k-NN NCL metric): True/False
+    #: force it, ``None`` sets it by node count (the scale-out path)
     sparse_graph: Optional[bool] = None
     #: sample RSS/heap/per-subsystem bytes at each telemetry boundary
     #: (measurement-only: excluded from the provenance hash)

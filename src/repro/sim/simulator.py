@@ -108,11 +108,12 @@ class SimulatorConfig:
         rows travel outside the frozen result, so enabling it cannot
         change any simulation outcome.
     sparse_graph:
-        Storage mode of the estimator's contact-graph snapshots:
-        ``True``/``False`` force adjacency-list/dense storage, ``None``
-        (default) auto-selects by node count.  Sparse snapshots route
-        NCL selection through the k-NN truncated metric and keep memory
-        O(edges) — the 10⁵-node path.
+        The ``sparse`` flag of the estimator's contact-graph snapshots:
+        ``True``/``False`` force it, ``None`` (default) sets it at
+        :data:`~repro.graph.contact_graph.DENSE_NODE_THRESHOLD` nodes
+        and above.  Sparse snapshots route NCL selection through the
+        k-NN truncated metric — the 10⁵-node path.  Storage is CSR,
+        O(edges), either way.
     """
 
     seed: int = 0

@@ -1,10 +1,13 @@
 """Unit tests for the contact graph."""
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.graph.contact_graph import ContactGraph
+from repro.graph.contact_graph import DENSE_NODE_THRESHOLD, ContactGraph
 from repro.traces.contact import Contact, ContactTrace
 
 
@@ -59,6 +62,18 @@ class TestConstruction:
         for bad in [(1, 1, 0.5), (0, 1, -0.5), (0, 3, 0.5), (0.5, 1, 0.5)]:
             with pytest.raises(ConfigurationError):
                 ContactGraph(3, [(0, 2, 0.7), bad])
+
+    @pytest.mark.parametrize("sparse", [False, True, None])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_rates(self, bad, sparse):
+        with pytest.raises(ConfigurationError, match="finite"):
+            ContactGraph(3, [(0, 1, bad), (1, 2, 0.5)], sparse=sparse)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_from_rate_matrix_rejects_non_finite_rates(self, bad):
+        rates = np.array([[0.0, bad, 0.0], [bad, 0.0, 0.5], [0.0, 0.5, 0.0]])
+        with pytest.raises(ConfigurationError, match="finite"):
+            ContactGraph.from_rate_matrix(rates)
 
     @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
     def test_later_triple_overrides_earlier(self, sparse):
@@ -120,6 +135,50 @@ class TestAccessors:
             with pytest.raises(ValueError):
                 view.flags.writeable = True
             assert graph.rate(0, 1) != 99.0
+
+
+class TestOneStorage:
+    """The ``sparse`` flag picks the NCL metric; it never changes storage."""
+
+    EDGES = [(0, 3, 0.25), (2, 1, 0.5), (3, 2, 0.125), (0, 1, 0.0), (4, 0, 1.5)]
+
+    def test_flag_leaves_csr_and_fingerprint_alone(self):
+        dense = ContactGraph(5, self.EDGES, sparse=False)
+        sparse = ContactGraph(5, self.EDGES, sparse=True)
+        assert (dense.is_sparse, sparse.is_sparse) == (False, True)
+        assert dense.fingerprint() == sparse.fingerprint()
+        for a, b in zip(dense.csr_rates(), sparse.csr_rates()):
+            assert (a.dtype, a.shape) == (b.dtype, b.shape)
+            assert a.tobytes() == b.tobytes()
+
+    def test_large_graph_never_allocates_n_squared(self):
+        n = DENSE_NODE_THRESHOLD + 1
+        edges = [(i, i + 1, 0.5) for i in range(0, n - 1, 7)]
+        tracemalloc.start()
+        try:
+            graph = ContactGraph(n, edges, sparse=False)
+            graph.fingerprint()
+            graph.aggregate_rates()
+            graph.neighbors(0)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert graph.num_edges == len(edges)
+        assert peak < n * n * 8 // 16
+
+    @pytest.mark.parametrize("sparse", [False, True, None])
+    def test_rates_view_refused_above_threshold(self, sparse):
+        graph = ContactGraph(DENSE_NODE_THRESHOLD + 1, [(0, 1, 0.5)], sparse=sparse)
+        with pytest.raises(ConfigurationError):
+            graph.rates
+
+    def test_aggregate_rates_computed_once_and_read_only(self):
+        graph = ContactGraph(5, self.EDGES)
+        aggregate = graph.aggregate_rates()
+        assert graph.aggregate_rates() is aggregate
+        np.testing.assert_array_equal(aggregate, graph.rates.sum(axis=1))
+        with pytest.raises(ValueError):
+            aggregate[0] = 1.0
 
 
 class TestVersioning:
