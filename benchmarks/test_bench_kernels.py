@@ -154,6 +154,29 @@ def test_bench_kernel_knn_rows_n2048_sparse(benchmark):
     assert rows.indptr.shape == (graph.num_nodes + 1,)
 
 
+def test_bench_kernel_knn_rows_n100_sparse(benchmark):
+    """k-NN truncated rows at sparse_churn's scale: a forced-sparse
+    100-node streamed graph, small enough for the tree core."""
+    from repro.core.ncl import DEFAULT_KNN_K
+    from repro.graph.sparse import knn_weight_rows
+    from repro.traces.stream import SparseSyntheticConfig, stream_synthetic_contacts
+
+    stream = stream_synthetic_contacts(
+        SparseSyntheticConfig(
+            name="bench-knn-n100", num_nodes=100, duration=2 * DAY,
+            total_contacts=2_000, granularity=120.0, seed=5,
+        )
+    )
+    graph = ContactGraph.from_trace(stream, sparse=True)
+
+    def cold_rows():
+        shared_weight_cache().clear()
+        return knn_weight_rows(graph, 1 * DAY, DEFAULT_KNN_K)
+
+    rows = benchmark.pedantic(cold_rows, rounds=5, iterations=1)
+    assert rows.indptr.shape == (graph.num_nodes + 1,)
+
+
 def test_bench_kernel_weight_matrix_profiled(benchmark):
     """Same kernel with an *enabled* active profiler.
 

@@ -89,9 +89,8 @@ def ncl_metrics(
     if graph.num_nodes < 2:
         raise ConfigurationError("NCL metric needs at least two nodes")
     if graph.is_sparse or knn_k is not None:
-        return sparse_ncl_metrics(
-            graph, time_budget, knn_k or DEFAULT_KNN_K, mode
-        )
+        k = DEFAULT_KNN_K if knn_k is None else knn_k
+        return sparse_ncl_metrics(graph, time_budget, k, mode)
     weights = shared_weight_cache().weight_matrix(graph, time_budget, mode)
     return (weights.sum(axis=1) - np.diag(weights)) / (graph.num_nodes - 1)
 
@@ -106,11 +105,9 @@ def sparse_ncl_metrics(
 
     A lower bound on :func:`ncl_metrics` that converges monotonically as
     *k* grows (truncation only drops non-negative terms) and matches the
-    full metric up to summation round-off once ``k >= N-1``, except
-    where the k-NN tie rule keeps another of several equal-cost trees
-    (DESIGN.md §5c).  Its hot loop is
-    :func:`~repro.graph.sparse.knn_weight_rows`; the row sums are a
-    sequential ``np.bincount``.
+    full metric up to summation round-off once ``k >= N-1``.  Its hot
+    loop is :func:`~repro.graph.sparse.knn_weight_rows`; the row sums
+    are a sequential ``np.bincount``.
     """
     if graph.num_nodes < 2:
         raise ConfigurationError("NCL metric needs at least two nodes")

@@ -223,62 +223,106 @@ def shortest_path(
 #
 # The expected-delay objective is an ordinary additive shortest path on
 # the 1/λ cost matrix, so the whole sweep — including the all-pairs case
-# the NCL metric needs — runs through scipy's C Dijkstra.  One walk of
-# the predecessor rows (:func:`_hop_walk`) recovers every requested
-# path's hop rates at once, and :func:`_path_weights` scores them from
-# their sorted rates.  The pure-Python implementations above are
-# retained as ``_reference_*`` oracles (property-tested to 1e-9).
+# the NCL metric needs — takes its distances from scipy's C Dijkstra and
+# its trees from one vectorized pass over the edges
+# (:func:`_expected_delay_trees`).  One walk of the predecessor rows
+# (:func:`_hop_walk`) recovers every requested path's hop rates at once,
+# and :func:`_path_weights` scores them from their sorted rates.  The
+# pure-Python implementations above are retained as ``_reference_*``
+# oracles (property-tested to 1e-9).
+
+#: Most (source, directed edge) pairs one tie pass of
+#: :func:`_expected_delay_trees` holds, so that its scratch does not grow
+#: with the number of sources.
+_TREE_ENTRIES = 1 << 18
 
 
-def _expected_delay_dijkstra(
-    graph: ContactGraph, sources: Optional[Sequence[int]] = None
-) -> Tuple[np.ndarray, np.ndarray]:
-    """scipy Dijkstra on the 1/λ cost matrix; returns (dist, predecessors).
+def _expected_delay_trees(
+    indptr: np.ndarray,
+    indices: np.ndarray,
+    data: np.ndarray,
+    sources: Optional[Sequence[int]] = None,
+) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    """Expected-delay shortest-path trees on a contact graph's symmetric
+    CSR rate arrays.
 
-    Both outputs are 2D, one row per requested source (all nodes when
-    *sources* is ``None``).  Zero-rate entries are non-edges.
-
-    scipy gets the CSR cost matrix built from
-    :meth:`ContactGraph.csr_rates`, never allocating N×N.  scipy turns a
-    dense cost matrix into this same CSR before it searches (row-major,
-    ascending columns, zero means no edge), so the result, scipy's
-    tie-breaking included, is that of a search on the dense 1/λ matrix,
-    except that a rate in (0, 1e-300) costs its exact 1/λ rather than a
-    cost clamped at 1e300.
+    Returns ``(dist, pred)``, one row per source (every node when
+    *sources* is ``None``): scipy's Dijkstra distances on the 1/λ costs,
+    and the reference heap's trees (:func:`_dijkstra_expected_delay`),
+    −1 at a row's source and where a node is unreachable.  A distance is
+    the minimum of ``dist[u] + 1/λ_uv`` over the neighbours u, whichever
+    tree is kept.  The heap relaxes with strict ``<`` and, while every
+    tree edge raises the distance, settles in ``(dist, node)`` order, so
+    its predecessor of v is the neighbour u with the smallest
+    ``(dist[u], u)`` among those where ``dist[u] + 1/λ_uv == dist[v]``.
+    Where a node has no such u strictly closer than itself (an edge cost
+    below half an ulp of the path cost), the heap may settle in another
+    order: ``pred`` is then ``None``, and the caller runs the per-source
+    heap.
     """
-    indptr, indices, data = graph.csr_rates()
-    n = graph.num_nodes
-    costs = _scipy_csr_matrix((1.0 / data, indices, indptr), shape=(n, n))
-    dist, predecessors = _csgraph_dijkstra(
-        costs,
-        directed=False,
-        indices=sources,
-        return_predecessors=True,
+    n = len(indptr) - 1
+    costs = 1.0 / data
+    dist = np.atleast_2d(
+        _csgraph_dijkstra(
+            _scipy_csr_matrix((costs, indices, indptr), shape=(n, n)),
+            directed=True,
+            indices=sources,
+        )
     )
-    return np.atleast_2d(dist), np.atleast_2d(predecessors)
+    pred = np.full(dist.shape, -1, dtype=np.int64)
+    degree = np.diff(indptr)
+    row_of = np.repeat(np.arange(n), degree)
+    chunk = max(1, _TREE_ENTRIES // max(1, len(indices)))
+    resolved = 0
+    for lo in range(0, len(dist), chunk):
+        # Node-major, so each CSR entry gathers one contiguous row: entry
+        # e of row v is the edge into v from u = indices[e].
+        by_node = np.ascontiguousarray(dist[lo : lo + chunk].T)
+        m = by_node.shape[1]
+        via = by_node[indices]
+        via += costs[:, None]
+        tie = via == np.repeat(by_node, degree, axis=0)
+        edge, row = np.divmod(np.flatnonzero(tie), m)
+        node, relaxer = row_of[edge], indices[edge]
+        relaxer_dist = by_node[relaxer, row]
+        closer = relaxer_dist < by_node[node, row]  # also drops unreachable
+        row, node, relaxer = row[closer], node[closer], relaxer[closer]
+        relaxer_dist = relaxer_dist[closer]
+        # Per (row, node): the closest tied relaxer, then the smallest id.
+        group = row * n + node
+        closest = np.full(m * n, np.inf)
+        np.minimum.at(closest, group, relaxer_dist)
+        keep = relaxer_dist == closest[group]
+        pick = np.full(m * n, n)
+        np.minimum.at(pick, group[keep], relaxer[keep])
+        resolved += np.count_nonzero(pick < n)
+        pred[lo : lo + m] = np.where(pick < n, pick, -1).reshape(m, n)
+    if resolved != np.count_nonzero(np.isfinite(dist)) - len(dist):
+        return dist, None  # a reachable node without a closer relaxer
+    return dist, pred
 
 
 def _hop_walk(
-    graph: ContactGraph, pred: np.ndarray, rows: np.ndarray, nodes: np.ndarray
+    csr: Tuple[np.ndarray, ...], pred: np.ndarray, rows: np.ndarray, nodes: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Hop rates of the tree paths to ``nodes[i]`` in the predecessor rows
-    ``pred[rows[i]]`` (scipy's layout: negative at a row's source and
-    where a node is unreachable).
+    ``pred[rows[i]]`` (:func:`_expected_delay_trees`' layout: negative at
+    a row's source and where a node is unreachable), on the CSR rate
+    arrays *csr*.
 
-    The rate of every tree edge is read once from
-    :meth:`ContactGraph.csr_rates`, found by one ``searchsorted`` over
-    the CSR keys ``row·N + column``, so nothing N×N is allocated.  Then
-    all pairs walk back toward
-    their sources together, one hop slot per step.  Returns
-    ``(back, hops)``: ``back[i, c]`` is the rate of the c-th hop counted
-    back from ``nodes[i]`` (zero past its source) and ``hops[i]`` is the
-    pair's hop count.  Every requested node must be reachable.
+    The rate of every tree edge is read once from *csr*, found by one
+    ``searchsorted`` over the CSR keys ``row·N + column``, so nothing
+    N×N is allocated.  Then all pairs walk back toward their sources
+    together, one hop slot per step.  Returns ``(back, hops)``:
+    ``back[i, c]`` is the rate of the c-th hop counted back from
+    ``nodes[i]`` (zero past its source) and ``hops[i]`` is the pair's hop
+    count.  Every requested node must be reachable.
     """
-    indptr, indices, data = graph.csr_rates()
-    n = graph.num_nodes
+    indptr, indices, data = csr
+    n = len(indptr) - 1
     keys = np.repeat(np.arange(n, dtype=np.int64) * n, np.diff(indptr)) + indices
     # Flat indices row·N + node into the predecessor rows.
-    pred = pred.astype(np.int64).ravel()
+    pred = pred.ravel()
     tree = np.flatnonzero(pred >= 0)
     tree_rate = np.zeros(len(pred))
     tree_rate[tree] = data[np.searchsorted(keys, pred[tree] * n + tree % n)]
@@ -310,14 +354,17 @@ def _tree_walk(
 
     Returns ``(rows, nodes, back, hops)``: pair i is
     ``(sources[rows[i]], nodes[i])``, in row-major order, sources
-    included (zero hops).  Expected-delay trees are scipy's, from one
-    :func:`_expected_delay_dijkstra` over all *sources*; max-probability
-    trees come from the pure-Python search, one source at a time.
+    included (zero hops).  Expected-delay trees come from one
+    :func:`_expected_delay_trees` over all *sources*; max-probability
+    trees, and expected-delay ones where its guard fails, from the
+    pure-Python search, one source at a time.
     """
+    csr = graph.csr_rates()
+    pred = None
     if mode is PathMode.EXPECTED_DELAY:
-        dist, pred = _expected_delay_dijkstra(graph, sources)
+        dist, pred = _expected_delay_trees(*csr, sources)
         reach = np.isfinite(dist)
-    else:
+    if pred is None:
         pred = np.full((len(sources), graph.num_nodes), -1, dtype=np.int64)
         reach = np.zeros(pred.shape, dtype=bool)
         for row, source in enumerate(sources):
@@ -326,7 +373,7 @@ def _tree_walk(
                 if path.hop_count:
                     pred[row, node] = path.nodes[-2]
     rows, nodes = np.nonzero(reach)
-    back, hops = _hop_walk(graph, pred, rows, nodes)
+    back, hops = _hop_walk(csr, pred, rows, nodes)
     return rows, nodes, back, hops
 
 

@@ -19,14 +19,14 @@ lower bound that converges monotonically to the exact metric as k grows
 
 The per-source sweep is a binary-heap Dijkstra keyed on the distinct
 pairs ``(dist, node)``, whose pop order any min-heap reproduces exactly.
-Graphs below :data:`_SCIPY_MAX_NODES` nodes get the same rows from one
-all-sources scipy Dijkstra instead: the kept destinations are the first
-k of each distance row in ``(dist, node)`` order, and each one's
-predecessor is rebuilt with the heap's own tie rule, so the tree is the
-heap's and not the one scipy picks (:func:`_knn_rows_scipy`).  The
-dense :func:`_reference_knn_weight_rows` oracle runs the full
-pure-python reference Dijkstra and truncates afterwards; property tests
-pin the sparse kernel to it and both cores to each other byte for byte.
+Graphs below :data:`_SCIPY_MAX_NODES` nodes get the same rows from the
+expected-delay trees of :mod:`repro.graph.paths` instead: a source's
+k-NN row is the first k nodes of its tree in ``(dist, node)`` order
+(:func:`_knn_rows_tree`), so at k = N−1 the rows are the weight
+matrix's.  The dense :func:`_reference_knn_weight_rows` oracle runs the
+full pure-python reference Dijkstra and truncates afterwards; property
+tests pin the sparse kernel to it and both cores to each other byte for
+byte.
 """
 
 from __future__ import annotations
@@ -36,12 +36,16 @@ from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 import numpy as np
-from scipy.sparse import csr_matrix as _scipy_csr_matrix
-from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
 
 from repro.errors import PathError
 from repro.graph.contact_graph import ContactGraph
-from repro.graph.paths import PathMode, _path_weights
+from repro.graph.paths import (
+    PathMode,
+    _expected_delay_trees,
+    _hop_walk,
+    _left_aligned,
+    _path_weights,
+)
 from repro.mathutils.hypoexponential import path_delivery_probability
 from repro.obs.profile import active_profiler, maybe_span
 
@@ -51,11 +55,11 @@ __all__ = ["KnnWeightRows", "knn_weight_rows", "knn_weight_matrix"]
 #: ``_CHUNK_SOURCES * k`` rows regardless of graph size.
 _CHUNK_SOURCES = 2048
 
-#: Graphs with fewer nodes take :func:`_knn_rows_scipy`; larger ones the
-#: per-source heap of :func:`_knn_rows_core`.  scipy sweeps every node
+#: Graphs with fewer nodes take :func:`_knn_rows_tree`; larger ones the
+#: per-source heap of :func:`_knn_rows_core`.  The trees span every node
 #: from every source, while the heap stops after k, so the heap wins
 #: once N is large against k (measured crossover: DESIGN.md §5c).
-_SCIPY_MAX_NODES = 1024
+_SCIPY_MAX_NODES = 600
 
 
 @dataclass(frozen=True)
@@ -112,9 +116,9 @@ def knn_weight_rows(
     bit for bit that of any path with the same hop rates in the exact
     weight rows.
     Memory is O(N·k + E); never O(N²) at scale.  Graphs below
-    :data:`_SCIPY_MAX_NODES` nodes get the same rows from one scipy
-    sweep over all sources, whose scratch holds a few N×N arrays
-    (8 MB each just below the threshold).
+    :data:`_SCIPY_MAX_NODES` nodes get the same rows from the trees of
+    all sources at once, whose scratch holds a few N×N arrays (8 MB
+    each just below the threshold).
     """
     if time_budget <= 0:
         raise PathError("time budget must be positive")
@@ -132,7 +136,7 @@ def _knn_weight_rows(
     n = graph.num_nodes
     k = min(int(k), max(n - 1, 1))
     indptr, indices, data = graph.csr_rates()
-    rows_core = _knn_rows_scipy if n < _SCIPY_MAX_NODES else _knn_rows_core
+    rows_core = _knn_rows_tree if n < _SCIPY_MAX_NODES else _knn_rows_core
     counts_parts: List[np.ndarray] = []
     index_parts: List[np.ndarray] = []
     weight_parts: List[np.ndarray] = []
@@ -238,95 +242,37 @@ def _knn_rows_core(
     return dest, hop_rows, counts
 
 
-def _knn_rows_scipy(
+def _knn_rows_tree(
     indptr: np.ndarray,
     indices: np.ndarray,
     data: np.ndarray,
     sources: np.ndarray,
     k: int,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`_knn_rows_core`'s output, byte for byte, from one scipy
-    Dijkstra over all *sources*.
+    """:func:`_knn_rows_core`'s output from the expected-delay trees of
+    all *sources* at once (:func:`repro.graph.paths._expected_delay_trees`).
 
-    * Distances: scipy sets each one to the minimum over in-neighbours u
-      of ``dist[u] + 1/λ_uv``, the float additions the heap makes; a
-      minimum does not depend on which tree either side keeps.
-    * Kept set: while every tree edge raises the distance, the heap pops
-      in ascending ``(dist, node)`` order, so its first k settled nodes
-      follow the source in a stable argsort of the distance row.
-    * Tree: relaxation is strict ``<`` in settle order, so the heap's
-      predecessor of v is the in-neighbour u with the smallest
-      ``(dist[u], u)`` among those where ``dist[u] + 1/λ_uv == dist[v]``,
-      and the hop rate is the entry in u's CSR row.  scipy's own
-      predecessors may pick another tree: k/T rates tie exactly, and the
-      tied trees carry different rate multisets.
-    * Guard: a predecessor as far as v itself (an edge cost below half
-      an ulp of the path cost) can reorder the heap's pops, so such a
-      chunk goes to the heap instead.
+    The heap's trees are those trees, and it settles their nodes in
+    ``(dist, node)`` order, so a source keeps the first k nodes after
+    itself in a stable argsort of its distance row; every node on the
+    path to a kept node is kept before it, so no path has more than k
+    hops.  The kept paths' hop rates come from
+    :func:`repro.graph.paths._hop_walk`.  Where the trees' guard fails,
+    the chunk runs the heap itself.
     """
-    n = len(indptr) - 1
-    m = len(sources)
-    costs = 1.0 / data
-    dist = _csgraph_dijkstra(
-        _scipy_csr_matrix((costs, indices, indptr), shape=(n, n)),
-        directed=True,
-        indices=sources,
-    ).reshape(m, n)
-    order = np.argsort(dist, axis=1, kind="stable")
-    width = min(k, n - 1)
-    kept = order[:, 1 : width + 1]
-    kept_dist = np.take_along_axis(dist, kept, axis=1)
-    valid = np.isfinite(kept_dist)  # a prefix of each row
-    # CSR entries grouped by column: each node's in-edges, rows ascending.
-    by_col = np.argsort(indices, kind="stable")
-    in_ptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(indices, minlength=n), out=in_ptr[1:])
-    edge_row = np.repeat(np.arange(n), np.diff(indptr))
-    # One entry per (kept pair, in-edge of its node).
-    src_of, slot_of = np.nonzero(valid)
-    node = kept[src_of, slot_of]
-    node_dist = kept_dist[src_of, slot_of]
-    lo = in_ptr[node]
-    deg = in_ptr[node + 1] - lo
-    first_entry = np.cumsum(deg) - deg
-    pair = np.repeat(np.arange(len(node)), deg)
-    edge = by_col[np.arange(len(pair)) + np.repeat(lo - first_entry, deg)]
-    relaxer = edge_row[edge]
-    relaxer_dist = dist[src_of[pair], relaxer]
-    ties = relaxer_dist + costs[edge] == node_dist[pair]
-    # Stable sort by (pair, dist of tied relaxer); entries already run in
-    # ascending relaxer id, so each pair's first entry is the heap's pick.
-    pick = np.lexsort((np.where(ties, relaxer_dist, np.inf), pair))[first_entry]
-    # Guard: every kept node has a tied relaxer strictly closer than
-    # itself.  (A node other than the source at distance 0 would fail it,
-    # so each row also starts at its source.)
-    if not (ties[pick].all() and (relaxer_dist[pick] < node_dist).all()):
+    dist, pred = _expected_delay_trees(indptr, indices, data, sources)
+    if pred is None:
         return _knn_rows_core(indptr, indices, data, sources, k)
-    rank = np.empty_like(order)
-    np.put_along_axis(rank, order, np.arange(n), axis=1)
-    # Kept node j of source t owns hop row t*k + j; the extra last row is
-    # every source's own, all zeros.  A predecessor sorts before its
-    # node, so rows fill in slot order, each from its predecessor's
-    # left-aligned row plus one hop.
-    source_row = m * k
-    pred_rank = rank[src_of, relaxer[pick]]
-    pred_row = np.full((m, width), source_row, dtype=np.int64)
-    pred_row[src_of, slot_of] = np.where(
-        pred_rank > 0, src_of * k + pred_rank - 1, source_row
-    )
-    hop_rate = np.zeros((m, width))
-    hop_rate[src_of, slot_of] = data[edge[pick]]
-    hop_rows = np.zeros((source_row + 1, k))
-    depth = np.zeros(source_row + 1, dtype=np.int64)
-    first_row = np.arange(m) * k
-    for j in range(width):
-        row, parent = first_row + j, pred_row[:, j]
-        hop_rows[row] = hop_rows[parent]
-        depth[row] = depth[parent] + 1
-        hop_rows[row, depth[row] - 1] = hop_rate[:, j]
-    dest = np.full((m, k), -1, dtype=np.int64)
-    dest[:, :width] = np.where(valid, kept, -1)
-    return dest.reshape(-1), hop_rows[:source_row], valid.sum(axis=1)
+    m, n = dist.shape
+    kept = np.argsort(dist, axis=1, kind="stable")[:, 1 : min(k, n - 1) + 1]
+    row, slot = np.nonzero(np.isfinite(np.take_along_axis(dist, kept, axis=1)))
+    node = kept[row, slot]
+    back, hops = _hop_walk((indptr, indices, data), pred, row, node)
+    dest = np.full(m * k, -1, dtype=np.int64)
+    hop_rows = np.zeros((m * k, k))
+    dest[row * k + slot] = node
+    hop_rows[row * k + slot, : back.shape[1]] = _left_aligned(back, hops)
+    return dest, hop_rows, np.bincount(row, minlength=m)
 
 
 def knn_weight_matrix(
@@ -339,7 +285,7 @@ def knn_weight_matrix(
 
     With ``k >= N-1`` the truncation keeps everything, and this equals
     the full :func:`repro.graph.paths.shortest_path_weight_matrix` bit
-    for bit wherever both tie rules keep the same trees.
+    for bit.
     """
     return knn_weight_rows(graph, time_budget, k, mode).to_dense()
 

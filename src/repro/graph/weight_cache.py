@@ -5,10 +5,10 @@ push/pull gradient routers and response strategies — reduces to the
 same two sweeps: a single-source path-weight vector at a time budget
 T, or the hop-rate rows of the shortest opportunistic paths from a
 source (:class:`repro.graph.paths.HopRows`).  Both come from one walk of
-the scipy Dijkstra predecessor rows
-(:func:`repro.graph.paths._hop_walk`), as does the all-pairs matrix,
-and every expected-delay weight is scored from its path's sorted hop
-rates
+the shortest-path trees' predecessor rows
+(:func:`repro.graph.paths._hop_walk`), as do the all-pairs matrix and
+the small-graph k-NN rows, and every expected-delay weight is scored
+from its path's sorted hop rates
 (:func:`repro.graph.paths._path_weights`).  So a weight vector is the
 same bytes whether it was swept on its own, with other sources, or read
 as a row of the all-pairs matrix.

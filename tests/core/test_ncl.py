@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core.ncl import ncl_metric, ncl_metrics, select_ncls
-from repro.errors import ConfigurationError
+from repro.core.ncl import ncl_metric, ncl_metrics, select_ncls, select_ncls_by
+from repro.errors import ConfigurationError, PathError
 from repro.graph.contact_graph import ContactGraph
 from repro.graph.paths import shortest_path_weights_from
 from repro.units import HOUR
@@ -39,6 +39,21 @@ class TestMetric:
     def test_single_node_graph_rejected(self):
         with pytest.raises(ConfigurationError):
             ncl_metrics(ContactGraph(1), time_budget=10.0)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda g: ncl_metrics(g, 2 * HOUR, knn_k=0),
+            lambda g: select_ncls(g, 1, 2 * HOUR, knn_k=0),
+            lambda g: select_ncls_by(g, 1, 2 * HOUR, "degree", knn_k=0),
+        ],
+        ids=["ncl_metrics", "select_ncls", "select_ncls_by"],
+    )
+    def test_knn_k_zero_is_refused_not_defaulted(self, star_graph, call):
+        # knn_k=0 is a width, not "unset": it fails as k=0 does in
+        # sparse_ncl_metrics instead of running DEFAULT_KNN_K.
+        with pytest.raises(PathError, match="k must be at least 1"):
+            call(star_graph)
 
 
 class TestSelection:

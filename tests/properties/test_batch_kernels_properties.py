@@ -241,9 +241,9 @@ def test_dense_sweeps_match_scipy_on_the_dense_cost_matrix(
     num_nodes, edge_probability, seed, all_sources
 ):
     """Dense graphs hand scipy the CSR cost matrix; scipy converts a
-    dense matrix to that same CSR, so distances and predecessors equal
-    a search on the dense 1/λ matrix byte for byte, quantised-rate ties
-    included."""
+    dense matrix to that same CSR, so the distances equal a search on the
+    dense 1/λ matrix byte for byte.  The trees are the reference heap's,
+    quantised-rate ties included."""
     rng = np.random.default_rng(seed)
     rates = np.zeros((num_nodes, num_nodes))
     for i in range(num_nodes):
@@ -252,21 +252,24 @@ def test_dense_sweeps_match_scipy_on_the_dense_cost_matrix(
                 rates[i, j] = rates[j, i] = rng.integers(1, 4) / 8.0
     graph = ContactGraph.from_rate_matrix(rates, sparse=False)
     sources = None if all_sources else [int(s) for s in rng.integers(0, num_nodes, 3)]
-    dist, pred = paths._expected_delay_dijkstra(graph, sources)
+    dist, pred = paths._expected_delay_trees(*graph.csr_rates(), sources)
     with np.errstate(divide="ignore"):
         costs = np.where(rates > 0.0, 1.0 / np.maximum(rates, 1e-300), 0.0)
-    want_dist, want_pred = dijkstra(
-        costs, directed=False, indices=sources, return_predecessors=True
-    )
+    want_dist = dijkstra(costs, directed=False, indices=sources)
     assert dist.tobytes() == np.atleast_2d(want_dist).tobytes()
-    assert pred.tobytes() == np.atleast_2d(want_pred).tobytes()
+    want_pred = np.full(dist.shape, -1, dtype=np.int64)
+    for row, source in enumerate(range(num_nodes) if sources is None else sources):
+        for node, path in paths._dijkstra_expected_delay(graph, source).items():
+            if path.hop_count:
+                want_pred[row, node] = path.nodes[-2]
+    assert pred.tobytes() == want_pred.tobytes()
 
 
 def _python_walk(graph: ContactGraph, source: int):
-    """Hop-rate tuples of one source's scipy tree, node by node: nodes in
+    """Hop-rate tuples of one source's tree, node by node: nodes in
     ascending expected delay (ties by id) each extend their predecessor's
     tuple by one :meth:`ContactGraph.rate` read."""
-    dist, pred = paths._expected_delay_dijkstra(graph, [source])
+    dist, pred = paths._expected_delay_trees(*graph.csr_rates(), [source])
     reachable = np.flatnonzero(np.isfinite(dist[0]))
     tuples = {source: ()}
     for node in reachable[np.argsort(dist[0, reachable], kind="stable")]:
@@ -352,9 +355,9 @@ def test_hop_walk_rows_match_a_per_node_python_walk(case):
         assert rows.hops.tolist() == [
             len(tuples[node]) if node in tuples else -1 for node in range(graph.num_nodes)
         ]
-    dist, pred = paths._expected_delay_dijkstra(graph, sources)
+    dist, pred = paths._expected_delay_trees(*graph.csr_rates(), sources)
     row_ids, nodes = np.nonzero(np.isfinite(dist))
-    back, hops = paths._hop_walk(graph, pred, row_ids, nodes)
+    back, hops = paths._hop_walk(graph.csr_rates(), pred, row_ids, nodes)
     want = [_python_walk(graph, sources[r])[j] for r, j in zip(row_ids, nodes)]
     assert hops.tolist() == [len(rates) for rates in want]
     width = max(1, max(hops))
@@ -445,14 +448,14 @@ def test_weight_rows_do_not_depend_on_source_chunking(monkeypatch):
     graph = _chain(sparse=True)
     whole = shortest_path_weight_rows(graph, CHAIN_SOURCES, 30.0)
     sweeps = []
-    dijkstra = paths._expected_delay_dijkstra
+    trees = paths._expected_delay_trees
 
-    def recording(g, sources):
+    def recording(indptr, indices, data, sources):
         sweeps.append(list(sources))
-        return dijkstra(g, sources)
+        return trees(indptr, indices, data, sources)
 
     monkeypatch.setattr(paths, "_SWEEP_ROWS", 2 * graph.num_nodes)
-    monkeypatch.setattr(paths, "_expected_delay_dijkstra", recording)
+    monkeypatch.setattr(paths, "_expected_delay_trees", recording)
     chunked = shortest_path_weight_rows(graph, CHAIN_SOURCES, 30.0)
     assert sweeps == [[0, 6], [12, 0], [3, 12], [0]]  # two sources per chunk
     assert chunked.tobytes() == whole.tobytes()

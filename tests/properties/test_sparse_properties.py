@@ -10,8 +10,9 @@ The scale-out path must never change answers, only cost:
   the exact ``ncl_metrics``;
 * the ``sparse`` flag only routes NCL selection: a forced-sparse graph
   produces bitwise the same kernel outputs as a forced-dense one;
-* the kernel's two cores — scipy distances plus the heap's tie rule, and
-  the per-source heap — return byte-identical rows on any graph;
+* the kernel's two cores — the first k nodes of each expected-delay
+  tree, and the per-source heap — return byte-identical rows on any
+  graph, and at k = N−1 the rows are the weight matrix's;
 * end-to-end, a forced-sparse run equals a forced-dense run bitwise
   when both use the same (k-NN) metric, serial and with workers=4.
 """
@@ -34,12 +35,13 @@ from repro.graph.contact_graph import ContactGraph
 from repro.graph.paths import shortest_path_weight_matrix
 from repro.graph.sparse import (
     _knn_rows_core,
-    _knn_rows_scipy,
+    _knn_rows_tree,
     _reference_knn_weight_rows,
     knn_weight_matrix,
     knn_weight_rows,
 )
 from repro.graph.weight_cache import shared_weight_cache
+from repro.traces.catalog import TRACE_PRESETS, load_preset_trace
 from repro.traces.synthetic import SyntheticTraceConfig, generate_synthetic_trace
 from repro.units import DAY, HOUR, WEEK
 from repro.workload.config import WorkloadConfig
@@ -138,31 +140,64 @@ def test_full_k_recovers_dense_weight_matrix(contacts_per_node):
     np.testing.assert_allclose(truncated, dense, atol=1e-9, rtol=0)
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    n=st.integers(min_value=2, max_value=30),
-    edge_probability=st.floats(min_value=0.05, max_value=0.6),
-    seed=st.integers(min_value=0, max_value=2**16),
-    heap=st.booleans(),
-)
-def test_full_k_rows_are_the_weight_matrix_bit_for_bit(n, edge_probability, seed, heap):
-    """With continuous rates no two paths tie, so the heap's tree is
-    scipy's, and every path is scored from its sorted rates in both
-    kernels: at k = N−1 the k-NN rows are the matrix, byte for byte,
-    from either k-NN core."""
-    rng = np.random.default_rng(seed)
-    edges = [
-        (i, j, float(rng.uniform(1e-6, 1e-2)))
-        for i in range(n)
-        for j in range(i + 1, n)
-        if rng.random() < edge_probability
+#: trace-style rates count/elapsed over one day: exact ties are common
+quantised_rates = st.integers(min_value=1, max_value=4).map(lambda c: c / 86400.0)
+continuous_rates = st.floats(min_value=1e-6, max_value=1e-2, allow_nan=False)
+
+
+@st.composite
+def random_graphs(draw):
+    """Random graphs on 2–30 nodes, with quantised or continuous rates."""
+    n = draw(st.integers(min_value=2, max_value=30))
+    edge_probability = draw(st.floats(min_value=0.05, max_value=0.6))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**16)))
+    rates = quantised_rates if draw(st.booleans()) else continuous_rates
+    pairs = [
+        (i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < edge_probability
     ]
-    graph = ContactGraph(n, edges)
+    return ContactGraph(n, [(i, j, draw(rates)) for i, j in pairs])
+
+
+#: From 0, node 3 ties at 1.5 d through relaxers 2 and 4, both at 1 d;
+#: the two paths carry different rate multisets.
+TIED_RELAXERS = ContactGraph(
+    5,
+    [(0, 1, 2 / DAY), (0, 4, 1 / DAY), (1, 2, 2 / DAY), (2, 3, 2 / DAY), (3, 4, 2 / DAY)],
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(graph=random_graphs(), heap=st.booleans())
+@example(graph=TIED_RELAXERS, heap=False)
+@example(graph=TIED_RELAXERS, heap=True)
+def test_full_k_rows_are_the_weight_matrix_bit_for_bit(graph, heap):
+    """Every expected-delay sweep keeps the reference heap's tree, and
+    every path is scored from its sorted rates: at k = N−1 the k-NN rows
+    are the matrix, byte for byte, from either k-NN core, ties
+    included."""
+    n = graph.num_nodes
     with pytest.MonkeyPatch.context() as patch:
         if heap:
             patch.setattr(sparse_module, "_SCIPY_MAX_NODES", 0)
         truncated = knn_weight_matrix(graph, 6 * HOUR, n - 1)
     assert truncated.tobytes() == shortest_path_weight_matrix(graph, 6 * HOUR).tobytes()
+
+
+def test_full_k_rows_are_the_weight_matrix_on_a_tied_trace_graph():
+    """The UCSD first-half graph (node factor 0.3, seed 7) at the preset
+    T ties equal-cost paths in many cells; at k = N−1 the k-NN rows are
+    still the matrix byte for byte, and the truncated Eq. 3 metric is the
+    exact one up to summation round-off."""
+    trace = load_preset_trace("ucsd", seed=7, node_factor=0.3, time_factor=0.15)
+    graph = ContactGraph.from_trace(trace, until=trace.start_time + trace.duration / 2)
+    budget = TRACE_PRESETS["ucsd"].ncl_time_budget
+    n = graph.num_nodes
+    matrix = shortest_path_weight_matrix(graph, budget)
+    assert knn_weight_matrix(graph, budget, n - 1).tobytes() == matrix.tobytes()
+    shared_weight_cache().clear()
+    exact = ncl_metrics(graph, budget)
+    truncated = sparse_ncl_metrics(graph, budget, n - 1)
+    np.testing.assert_allclose(truncated, exact, atol=1e-12, rtol=0)
 
 
 @pytest.mark.parametrize("contacts_per_node", [6, 25, 120])
@@ -179,10 +214,6 @@ def test_sparse_ncl_metrics_match_oracle_and_dense(contacts_per_node):
 
 
 # --- the two k-NN cores agree byte for byte -------------------------------
-
-#: trace-style rates count/elapsed over one day: exact ties are common
-quantised_rates = st.integers(min_value=1, max_value=4).map(lambda c: c / 86400.0)
-continuous_rates = st.floats(min_value=1e-6, max_value=1e-2, allow_nan=False)
 
 
 @st.composite
@@ -219,9 +250,10 @@ def knn_core_cases(draw):
     sparse=False,
 )
 def test_knn_cores_are_byte_identical(case, sparse):
-    """scipy distances plus the heap's tie rule rebuild the heap's rows
-    exactly.  Every other tier-1 graph is small enough to take the scipy
-    core, so this is where the heap core runs in tier-1."""
+    """The first k nodes of each expected-delay tree are the heap's rows
+    exactly.  Every other tier-1 graph is small enough to take the tree
+    core, so the heap core runs here and where a test lowers the
+    threshold."""
     n, edges, k = case
     graph = ContactGraph(n, edges, sparse=sparse)
     _assert_knn_cores_agree(*graph.csr_rates(), k)
@@ -242,7 +274,7 @@ def _assert_knn_cores_agree(indptr, indices, data, k):
     n = len(indptr) - 1
     sources = np.arange(n, dtype=np.int64)
     k = min(k, max(n - 1, 1))  # as knn_weight_rows clips it
-    fast = _knn_rows_scipy(indptr, indices, data, sources, k)
+    fast = _knn_rows_tree(indptr, indices, data, sources, k)
     heap = _knn_rows_core(indptr, indices, data, sources, k)
     for name, a, b in zip(("dest", "hop_rows", "counts"), fast, heap):
         assert (a.dtype, a.shape) == (b.dtype, b.shape), name
